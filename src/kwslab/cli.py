@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -33,7 +34,8 @@ from .models import (
     describe_text,
     scale_channels,
 )
-from .taskstream import SynthConfig, materialize_synth
+from .taskstream import SynthConfig, TaskStream, materialize_synth
+from .trainer import FeatureCache, build_stream_from_config, stream_fingerprint
 from .trainer import run as run_training
 
 OUT_ENV = "KWSLAB_OUT"
@@ -61,9 +63,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(flat: dict) -> dict:
-    cfg = config_from_mapping(flat)
-    return run_training(cfg).to_dict()
+def _sweep_worker(flat: dict, features: FeatureCache | None = None) -> tuple[dict, float]:
+    t0 = time.perf_counter()
+    report = run_training(config_from_mapping(flat), features=features)
+    return report.to_dict(), time.perf_counter() - t0
+
+
+def _print_progress(report: dict, seconds: float) -> None:
+    print(f"{report['strategy']} seed={report['seed']}: ACC={report['acc']:.4f} "
+          f"wall={seconds:.1f}s", flush=True)
+
+
+def _run_grouped_by_stream(flats: list[dict]) -> list[dict]:
+    """Run configs one stream at a time, sharing one feature cache per stream.
+
+    Only the current stream's cache is alive, so peak memory stays that of
+    one run. Results come back in the order of `flats`.
+    """
+    groups: dict[str, tuple[TaskStream, list[int]]] = {}
+    for i, flat in enumerate(flats):
+        stream = build_stream_from_config(config_from_mapping(flat))
+        groups.setdefault(stream_fingerprint(stream), (stream, []))[1].append(i)
+
+    dicts: list[dict | None] = [None] * len(flats)
+    for stream, indices in groups.values():
+        features = FeatureCache(stream)
+        for i in indices:
+            dicts[i], seconds = _sweep_worker(flats[i], features)
+            _print_progress(dicts[i], seconds)
+    return dicts
 
 
 def _sweep_configs(manifest: dict, out_root: str) -> list[dict]:
@@ -101,10 +129,14 @@ def cmd_sweep(args) -> int:
     flats = _sweep_configs(manifest, out_root)
 
     if args.jobs > 1:
+        # each worker process extracts the features of its own runs
+        dicts = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            dicts = list(pool.map(_sweep_worker, flats))
+            for doc, seconds in pool.map(_sweep_worker, flats):
+                _print_progress(doc, seconds)
+                dicts.append(doc)
     else:
-        dicts = [_sweep_worker(flat) for flat in flats]
+        dicts = _run_grouped_by_stream(flats)
     reports = [RunReport.from_dict(d) for d in dicts]
 
     by_seed: dict[int, list[RunReport]] = {}

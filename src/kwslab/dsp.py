@@ -3,11 +3,14 @@
 Pipeline: pre-emphasis, framing, Hann window, power spectrum, triangular
 mel filterbank (HTK scale), floored log, orthonormal DCT-II. Everything is
 a pure function of the input clip and the config, so results are bitwise
-reproducible and safe to call from multiple threads.
+reproducible and safe to call from multiple threads. The window, filterbank
+and DCT depend only on the config; they are built once per config and
+shared as read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass, field
 
@@ -111,11 +114,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     """Triangular mel filters sampled at FFT bin centers.
 
-    Returns [n_mels, n_fft//2 + 1]. HTK mel scale, unit peak, no area
-    normalization.
+    Returns [n_mels, n_fft//2 + 1], read-only and memoised per config. HTK
+    mel scale, unit peak, no area normalization.
     """
     n_bins = cfg.n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
@@ -128,22 +132,28 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
         up = (bin_hz - lo) / (ctr - lo)
         down = (hi - bin_hz) / (hi - ctr)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.setflags(write=False)
     return fb
 
 
+@functools.lru_cache(maxsize=16)
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix, rows are basis vectors."""
+    """Orthonormal DCT-II matrix, rows are basis vectors; read-only, memoised."""
     n = np.arange(n_in)
     k = np.arange(n_out)[:, None]
     mat = np.cos(np.pi * (2 * n + 1) * k / (2.0 * n_in))
     mat *= np.sqrt(2.0 / n_in)
     mat[0] *= np.sqrt(0.5)
+    mat.setflags(write=False)
     return mat
 
 
+@functools.lru_cache(maxsize=16)
 def hann_window(n: int) -> np.ndarray:
-    # periodic Hann, the usual STFT analysis window
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    # periodic Hann, the usual STFT analysis window; read-only, memoised
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    win.setflags(write=False)
+    return win
 
 
 def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:

@@ -46,6 +46,10 @@ class EmptyDataError(KwslabError):
     """An operation that needs at least one sample received none."""
 
 
+class StreamMismatchError(KwslabError):
+    """A prebuilt feature cache belongs to a different stream than the run's."""
+
+
 class UnknownTaskError(KwslabError):
     """A task id was requested that has not been learned."""
 

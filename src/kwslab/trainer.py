@@ -11,8 +11,10 @@ strategy hooks wired into every step:
 
 After each task the strategy consolidates, every learned task is evaluated
 with eval-mode batch norm, and the accuracy matrix row is written exactly
-once. A run is single-threaded end to end and bit-reproducible for a fixed
-config; only wall-clock timings differ between repeats.
+once. Features for every clip of the stream are extracted before the first
+task, so `epoch_seconds` covers training only. A run is single-threaded end
+to end and bit-reproducible for a fixed config; only wall-clock timings
+differ between repeats.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Sgd, SgdConfig, Tensor
 from .config import RunConfig, config_hash, config_to_flat
 from .dsp import FrontendConfig, mfcc, pad_or_trim
-from .errors import EmptyDataError, NanError, NanLossError
+from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import AccuracyMatrix, RunReport, emit_report, summary_metrics
 from .seeding import rng_for
 from .strategies import EvalHandle, Strategy, TrainContext, make_strategy
@@ -49,11 +51,16 @@ def stream_fingerprint(stream: TaskStream) -> str:
 
 
 class FeatureCache:
-    """Lazily computed MFCC features keyed by clip URI."""
+    """MFCC features keyed by clip URI, computed on first use.
+
+    One cache serves every run on the same stream; `stream_fingerprint`
+    says which stream that is.
+    """
 
     def __init__(self, stream: TaskStream, frontend: FrontendConfig = FrontendConfig()):
         self.stream = stream
         self.frontend = frontend
+        self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
 
     def __call__(self, ref: ClipRef) -> np.ndarray:
@@ -68,6 +75,12 @@ class FeatureCache:
     def shape(self, sample_ref: ClipRef) -> tuple[int, int]:
         arr = self(sample_ref)
         return arr.shape[0], arr.shape[1]
+
+    def materialize(self) -> None:
+        """Extract the features of every train and test clip of every task."""
+        for task in self.stream.tasks:
+            for ref in (*task.train, *task.test):
+                self(ref)
 
 
 def _chunks(seq, size: int):
@@ -168,10 +181,19 @@ def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int
         )
 
 
-def run(cfg: RunConfig) -> RunReport:
+def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
+    """Train and evaluate one config; `features` may be a cache shared with
+    other runs on the same stream."""
     cfg.validate()
     stream = build_stream_from_config(cfg)
-    features = FeatureCache(stream)
+    if features is None:
+        features = FeatureCache(stream)
+    elif features.stream_fingerprint != stream_fingerprint(stream):
+        raise StreamMismatchError(
+            f"feature cache is for stream {features.stream_fingerprint}, "
+            f"config builds stream {stream_fingerprint(stream)}"
+        )
+    features.materialize()
     feature_shape = features.shape(stream.tasks[0].train[0])
     ctx = TrainContext(cfg=cfg, stream=stream, features=features, feature_shape=feature_shape)
     strategy = make_strategy(ctx)
@@ -204,7 +226,7 @@ def run(cfg: RunConfig) -> RunReport:
         strategy=cfg.strategy,
         seed=cfg.seed,
         config_hash=config_hash(cfg),
-        stream_fingerprint=stream_fingerprint(stream),
+        stream_fingerprint=features.stream_fingerprint,
         matrix=matrix.as_lists(),
         acc=headline["acc"],
         la=headline["la"],

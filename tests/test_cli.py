@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from kwslab.cli import main
-from kwslab.metrics import load_report
+from kwslab import trainer
+from kwslab.cli import _run_grouped_by_stream, _sweep_configs, main
+from kwslab.config import config_from_mapping
+from kwslab.metrics import RunReport, load_report, reports_equivalent
 
 from conftest import MICRO_FLAT
 
@@ -72,6 +75,8 @@ def test_sweep_and_report(tmp_path, capsys):
     table = capsys.readouterr().out
     assert rc == 0
     assert "finetune" in table and "nr" in table
+    progress = [line for line in table.splitlines() if " wall=" in line]
+    assert [line.split(":")[0] for line in progress] == ["finetune seed=0", "nr seed=0"]
 
     doc = json.loads((root / "comparison.json").read_text())
     rows = doc["aggregate"]
@@ -97,6 +102,52 @@ def test_sweep_and_report(tmp_path, capsys):
     assert main(["report", "--dir", str(root), "--format", "json"]) == 0
     doc2 = json.loads(capsys.readouterr().out)
     assert doc2["aggregate"] == rows
+
+
+def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
+    """Runs on one stream share its features; a stream key override and a
+    second seed each make a new stream. Reports match separate runs, in
+    manifest order, with one progress line per run.
+
+    The runner is called directly: a comparison needs every run of a seed on
+    one stream, so `kwslab sweep` stops after these runs with a ConfigError.
+    """
+    manifest = {
+        "base": dict(MICRO_FLAT),
+        "strategies": ["finetune", {"strategy": "nr", "synth.clips": 8}, "si"],
+        "seeds": [0, 1],
+    }
+    flats = _sweep_configs(manifest, str(tmp_path))
+
+    extracted = Counter()
+    real_mfcc = trainer.mfcc
+
+    def counting_mfcc(clip, *args, **kwargs):
+        extracted[clip.source_id] += 1
+        return real_mfcc(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
+    shared = _run_grouped_by_stream(flats)
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+
+    streams = {}
+    for flat in flats:
+        stream = trainer.build_stream_from_config(config_from_mapping(flat))
+        streams[trainer.stream_fingerprint(stream)] = stream
+    assert len(streams) == 4
+    expected = Counter(
+        ref.uri for stream in streams.values() for task in stream.tasks
+        for ref in (*task.train, *task.test)
+    )
+    assert extracted == expected
+
+    progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
+    assert sorted(progress) == sorted(f"{f['strategy']} seed={f['seed']}" for f in flats)
+
+    for flat, doc in zip(flats, shared):
+        alone = trainer.run(config_from_mapping({k: v for k, v in flat.items() if k != "out_dir"}))
+        assert reports_equivalent(RunReport.from_dict(doc), alone), flat["out_dir"]
 
 
 def test_sweep_rejects_empty_manifest(tmp_path, capsys):

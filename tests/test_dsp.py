@@ -150,6 +150,16 @@ def test_dct_matrix_is_orthonormal():
     np.testing.assert_allclose(mat @ mat.T, np.eye(40), atol=1e-12)
 
 
+def test_frontend_tables_are_memoised_and_read_only():
+    fb = dsp.mel_filterbank(CFG)
+    assert dsp.mel_filterbank(dsp.FrontendConfig()) is fb
+    assert dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels) is dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels)
+    for table in (fb, dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels), dsp.hann_window(CFG.frame_len)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 def test_mel_filterbank_covers_band():
     fb = dsp.mel_filterbank(CFG)
     assert fb.shape == (40, CFG.n_fft // 2 + 1)

@@ -8,7 +8,7 @@ import pytest
 from kwslab import autodiff as ad
 from kwslab import trainer
 from kwslab.autodiff import Sgd, Tensor
-from kwslab.errors import EmptyDataError, NanLossError
+from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
 from kwslab.metrics import load_report, reports_equivalent
 from kwslab.seeding import rng_for
 from kwslab.strategies import EvalHandle, FineTune, TrainContext
@@ -75,6 +75,36 @@ def test_stream_fingerprint_stability(ctx):
     c = stream_fingerprint(trainer.build_stream_from_config(micro_config(seed=1)))
     assert a != c
     assert len(a) == 16
+
+
+# -- features -----------------------------------------------------------------------------
+
+def test_run_rejects_feature_cache_of_another_stream():
+    other = FeatureCache(trainer.build_stream_from_config(micro_config(seed=1)))
+    with pytest.raises(StreamMismatchError):
+        trainer.run(micro_config(strategy="finetune"), features=other)
+
+
+def test_features_are_extracted_before_the_first_task(monkeypatch):
+    """No MFCC work lands inside a task, so epoch_seconds times training only."""
+    calls = []
+    real_mfcc, real_train_task = trainer.mfcc, trainer._train_task
+
+    def counting_mfcc(*args, **kwargs):
+        calls.append(1)
+        return real_mfcc(*args, **kwargs)
+
+    def checked_train_task(*args, **kwargs):
+        before = len(calls)
+        real_train_task(*args, **kwargs)
+        assert len(calls) == before
+
+    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
+    monkeypatch.setattr(trainer, "_train_task", checked_train_task)
+    cfg = micro_config(strategy="nr")
+    trainer.run(cfg)
+    stream = trainer.build_stream_from_config(cfg)
+    assert len(calls) == sum(len(t.train) + len(t.test) for t in stream.tasks)
 
 
 # -- single-task training loop ----------------------------------------------------------
