@@ -498,9 +498,9 @@ class Sgd:
             raise ShapeError("lr_scale length does not match trainable parameter count")
         self.lr_scale = lr_scale
 
-    def step(self) -> np.ndarray:
-        """Apply one update. Returns the applied delta (theta_new - theta_old)."""
-        g = self.params.grad_vector()
+    def step(self, g: np.ndarray) -> np.ndarray:
+        """Apply one update along the flat gradient g (the grad slots are not
+        read). Returns the applied delta (theta_new - theta_old)."""
         theta = self.params.flatten()
         if self.cfg.weight_decay:
             g = g + self.cfg.weight_decay * theta

@@ -17,14 +17,7 @@ from dataclasses import replace
 
 from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
 from .errors import ConfigError, KwslabError
-from .metrics import (
-    RunReport,
-    aggregate_comparisons,
-    build_comparison,
-    load_report,
-    render_csv,
-    render_table,
-)
+from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
 from .models import (
     ScalingConfig,
     SubNet,
@@ -74,17 +67,39 @@ def _print_progress(report: dict, seconds: float) -> None:
           f"wall={seconds:.1f}s", flush=True)
 
 
-def _run_grouped_by_stream(flats: list[dict]) -> list[dict]:
+StreamGroups = dict[str, tuple[TaskStream, list[int]]]
+
+
+def _group_by_stream(flats: list[dict]) -> StreamGroups:
+    """Indices into `flats` per stream fingerprint, with the stream they build."""
+    groups: StreamGroups = {}
+    for i, flat in enumerate(flats):
+        stream = build_stream_from_config(config_from_mapping(flat))
+        groups.setdefault(stream_fingerprint(stream), (stream, []))[1].append(i)
+    return groups
+
+
+def _require_one_stream_per_seed(flats: list[dict], groups: StreamGroups) -> None:
+    """A comparison needs every run of a seed on one stream; say so before
+    any run trains rather than after all of them."""
+    stream_of_seed: dict[int, str] = {}
+    for fingerprint, (_, indices) in groups.items():
+        for i in indices:
+            seed = flats[i]["seed"]
+            if stream_of_seed.setdefault(seed, fingerprint) != fingerprint:
+                raise ConfigError(
+                    "sweep.strategies",
+                    f"runs of seed {seed} would train on different streams; "
+                    "stream keys belong in the manifest base",
+                )
+
+
+def _run_grouped_by_stream(flats: list[dict], groups: StreamGroups) -> list[dict]:
     """Run configs one stream at a time, sharing one feature cache per stream.
 
     Only the current stream's cache is alive, so peak memory stays that of
     one run. Results come back in the order of `flats`.
     """
-    groups: dict[str, tuple[TaskStream, list[int]]] = {}
-    for i, flat in enumerate(flats):
-        stream = build_stream_from_config(config_from_mapping(flat))
-        groups.setdefault(stream_fingerprint(stream), (stream, []))[1].append(i)
-
     dicts: list[dict | None] = [None] * len(flats)
     for stream, indices in groups.values():
         features = FeatureCache(stream)
@@ -127,6 +142,8 @@ def cmd_sweep(args) -> int:
         manifest = json.load(fh)
     out_root = _out_root(args.out or manifest.get("out_dir"))
     flats = _sweep_configs(manifest, out_root)
+    groups = _group_by_stream(flats)
+    _require_one_stream_per_seed(flats, groups)
 
     if args.jobs > 1:
         # each worker process extracts the features of its own runs
@@ -136,24 +153,18 @@ def cmd_sweep(args) -> int:
                 _print_progress(doc, seconds)
                 dicts.append(doc)
     else:
-        dicts = _run_grouped_by_stream(flats)
-    reports = [RunReport.from_dict(d) for d in dicts]
-
-    by_seed: dict[int, list[RunReport]] = {}
-    for r in reports:
-        by_seed.setdefault(r.seed, []).append(r)
-    per_seed = [build_comparison(by_seed[s]) for s in sorted(by_seed)]
-    rows = aggregate_comparisons(per_seed) if len(per_seed) > 1 else per_seed[0]
+        dicts = _run_grouped_by_stream(flats, groups)
+    comparison = compare_by_seed([RunReport.from_dict(d) for d in dicts])
 
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "comparison.json"), "w", encoding="utf-8") as fh:
-        json.dump({"per_seed": per_seed, "aggregate": rows}, fh, indent=2, sort_keys=True)
+        json.dump(comparison, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_root, "comparison.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_csv(rows))
+        fh.write(render_csv(comparison["aggregate"]))
 
-    print(render_table(rows))
-    print(f"\n{len(reports)} runs; outputs under {out_root}")
+    print(render_table(comparison["aggregate"]))
+    print(f"\n{len(dicts)} runs; outputs under {out_root}")
     return 0
 
 
@@ -168,19 +179,13 @@ def _collect_reports(root: str) -> list[RunReport]:
 
 
 def cmd_report(args) -> int:
-    reports = _collect_reports(args.dir)
-    by_seed: dict[int, list[RunReport]] = {}
-    for r in reports:
-        by_seed.setdefault(r.seed, []).append(r)
-    per_seed = [build_comparison(by_seed[s]) for s in sorted(by_seed)]
-    rows = aggregate_comparisons(per_seed) if len(per_seed) > 1 else per_seed[0]
-
+    comparison = compare_by_seed(_collect_reports(args.dir))
     if args.format == "json":
-        print(json.dumps({"per_seed": per_seed, "aggregate": rows}, indent=2, sort_keys=True))
+        print(json.dumps(comparison, indent=2, sort_keys=True))
     elif args.format == "csv":
-        sys.stdout.write(render_csv(rows))
+        sys.stdout.write(render_csv(comparison["aggregate"]))
     else:
-        print(render_table(rows))
+        print(render_table(comparison["aggregate"]))
     return 0
 
 

@@ -72,9 +72,6 @@ class FeatureMatrix:
     """MFCC features, one row per frame."""
 
     data: np.ndarray  # [n_frames, n_mfcc]
-    n_mfcc: int = 40
-    frame_ms: float = 30.0
-    hop_ms: float = 10.0
 
     @property
     def n_frames(self) -> int:
@@ -192,7 +189,7 @@ def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatr
     coeffs = np.einsum("fm,km->fk", log_mel, dct, optimize=False)
     if not np.all(np.isfinite(coeffs)):
         raise ShapeError(f"non-finite MFCC output for clip {clip.source_id!r}")
-    return FeatureMatrix(coeffs, cfg.n_mfcc, cfg.frame_ms, cfg.hop_ms)
+    return FeatureMatrix(coeffs)
 
 
 def read_wav(path, label: str = "", source_id: str = "") -> AudioClip:

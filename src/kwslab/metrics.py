@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, MetricsError
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 REPORT_FILENAME = "report.json"
 
 _TIMING_KEYS = ("epoch_seconds", "tt_mean_epoch_seconds")
@@ -154,7 +154,6 @@ class RunReport:
     training_log: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     tt_mean_epoch_seconds: float = 0.0
-    acc_plus: float | None = None
     extras: dict = field(default_factory=dict)
     config_flat: dict = field(default_factory=dict)
     schema_version: int = REPORT_SCHEMA_VERSION
@@ -289,6 +288,17 @@ def aggregate_comparisons(per_seed: list[list[dict]]) -> list[dict]:
                 agg[key] = float(np.mean(vals))
         out.append(agg)
     return out
+
+
+def compare_by_seed(reports: list[RunReport]) -> dict:
+    """One comparison table per seed and their aggregate: the mean over seeds,
+    or the single table when there is one seed."""
+    by_seed: dict[int, list[RunReport]] = {}
+    for r in reports:
+        by_seed.setdefault(r.seed, []).append(r)
+    per_seed = [build_comparison(by_seed[s]) for s in sorted(by_seed)]
+    rows = aggregate_comparisons(per_seed) if len(per_seed) > 1 else per_seed[0]
+    return {"per_seed": per_seed, "aggregate": rows}
 
 
 def _fmt(value, width: int) -> str:

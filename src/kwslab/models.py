@@ -238,7 +238,6 @@ class SubNetSpec:
     n_classes: int
     scaled_channels: tuple[int, int]
     fixed: bool = False
-    base_channels: tuple[int, int] = BASE_SUBNET_CHANNELS
 
 
 class SubNet(Model):

@@ -2,10 +2,11 @@
 
 The trainer drives every strategy through the same hooks: before_task hands
 back what to train (model view, parameter vector, labeling), augment_data may
-mix in replayed samples, penalty_* add a quadratic regularizer, post_batch may
-rewrite the gradient, post_step observes the applied update, after_task
-consolidates state, and eval_handle routes evaluation for any learned task.
-Hooks a strategy does not need keep their identity defaults.
+mix in replayed samples, penalty returns a regularizer's value and flat
+gradient in one call per step (or None), post_batch may rewrite the gradient,
+post_step observes the applied update, after_task consolidates state, and
+eval_handle routes evaluation for any learned task. Hooks a strategy does not
+need keep their identity defaults.
 """
 
 from __future__ import annotations
@@ -84,10 +85,8 @@ class Strategy:
     def augment_data(self, task: TaskSpec) -> list[ClipRef]:
         return list(task.train)
 
-    def penalty_value(self) -> float:
-        return 0.0
-
-    def penalty_grad(self) -> np.ndarray | None:
+    def penalty(self) -> tuple[float, np.ndarray] | None:
+        """(value, flat gradient) of a regularizer at the current parameters."""
         return None
 
     def post_batch(self, g: np.ndarray) -> np.ndarray:
@@ -198,17 +197,54 @@ def quadratic_penalty(theta: np.ndarray, anchor: np.ndarray, omega: np.ndarray,
     return value, lam * omega * d
 
 
-class Ewc(GlobalHeadStrategy):
-    """Quadratic anchor penalty weighted by accumulated squared gradients."""
+class AnchoredPenalty(GlobalHeadStrategy):
+    """Quadratic pull toward the weights held at the end of the last task.
 
-    name = "ewc"
+    Subclasses estimate per-weight importance: `importance(task, theta)` is
+    added to omega when a task ends, and theta becomes the new anchor. The
+    weight lam comes from the config section named after the strategy.
+    """
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
-        n = self.model.params.trainable_count
-        self.lam = ctx.cfg.ewc.lam
-        self.omega = np.zeros(n)
+        self.lam = getattr(ctx.cfg, self.name).lam
+        self.omega = np.zeros(self.model.params.trainable_count)
         self.anchor: np.ndarray | None = None
+
+    def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def penalty(self) -> tuple[float, np.ndarray] | None:
+        if self.anchor is None:
+            return None
+        return quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
+
+    def after_task(self, task: TaskSpec) -> None:
+        theta = self.model.params.flatten()
+        self.omega += self.importance(task, theta)
+        self.anchor = theta
+
+    def extra_params(self) -> int:
+        # anchor copy + importance map
+        return 2 * self.model.params.trainable_count
+
+    def checkpoint_items(self):
+        items = super().checkpoint_items()
+        if self.anchor is not None:
+            items.append((
+                f"{self.name}_state",
+                ParameterVector([
+                    Segment("anchor", Tensor(self.anchor), trainable=False),
+                    Segment("omega", Tensor(self.omega), trainable=False),
+                ]),
+            ))
+        return items
+
+
+class Ewc(AnchoredPenalty):
+    """Importance from accumulated squared gradients (Kirkpatrick et al. 2017)."""
+
+    name = "ewc"
 
     def fisher(self, refs: list[ClipRef]) -> np.ndarray:
         """Diagonal importance: mean over samples of squared per-sample grads."""
@@ -219,57 +255,24 @@ class Ewc(GlobalHeadStrategy):
             total += g * g
         return total / len(refs)
 
-    def penalty_value(self) -> float:
-        if self.anchor is None:
-            return 0.0
-        value, _ = quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
-        return value
-
-    def penalty_grad(self) -> np.ndarray | None:
-        if self.anchor is None:
-            return None
-        _, grad = quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
-        return grad
-
-    def after_task(self, task: TaskSpec) -> None:
+    def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
         refs = list(task.train)
         cap = self.ctx.cfg.ewc.fisher_samples
         if cap and len(refs) > cap:
             order = rng_for(self.ctx.cfg.seed, f"ewc|fisher|{task.task_id}").permutation(len(refs))
             refs = [refs[i] for i in order[:cap]]
-        self.omega += self.fisher(refs)
-        self.anchor = self.model.params.flatten()
-
-    def extra_params(self) -> int:
-        # anchor copy + importance map
-        return 2 * self.model.params.trainable_count
-
-    def checkpoint_items(self):
-        items = super().checkpoint_items()
-        if self.anchor is not None:
-            items.append((
-                "ewc_state",
-                ParameterVector([
-                    Segment("anchor", Tensor(self.anchor), trainable=False),
-                    Segment("omega", Tensor(self.omega), trainable=False),
-                ]),
-            ))
-        return items
+        return self.fisher(refs)
 
 
-class Si(GlobalHeadStrategy):
-    """Path-integral importance accumulated every step, consolidated per task."""
+class Si(AnchoredPenalty):
+    """Importance from the path integral of every step (Zenke et al. 2017)."""
 
     name = "si"
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
-        n = self.model.params.trainable_count
-        self.lam = ctx.cfg.si.lam
         self.eps = ctx.cfg.si.eps
-        self.omega = np.zeros(n)
-        self.path = np.zeros(n)
-        self.anchor: np.ndarray | None = None
+        self.path = np.zeros(self.model.params.trainable_count)
         self.task_start = self.model.params.flatten()
         self._steps = 0
 
@@ -277,20 +280,9 @@ class Si(GlobalHeadStrategy):
         si_accumulate(self.path, g_kws, delta)
         self._steps += 1
 
-    def penalty_value(self) -> float:
-        if self.anchor is None:
-            return 0.0
-        value, _ = quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
-        return value
-
-    def penalty_grad(self) -> np.ndarray | None:
-        if self.anchor is None:
-            return None
-        _, grad = quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
-        return grad
-
-    def after_task(self, task: TaskSpec) -> None:
-        theta = self.model.params.flatten()
+    def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
+        """The task's path integral; also starts the next task's path."""
+        gain = np.zeros_like(theta)
         if self._steps == 0:
             warnings.warn(
                 f"consolidating task {task.task_id} with no accumulated steps; "
@@ -298,26 +290,11 @@ class Si(GlobalHeadStrategy):
                 RuntimeWarning,
             )
         else:
-            si_consolidate(self.omega, self.path, theta - self.task_start, self.eps)
+            si_consolidate(gain, self.path, theta - self.task_start, self.eps)
         self.path[:] = 0.0
-        self.task_start = theta.copy()
-        self.anchor = theta
+        self.task_start = theta
         self._steps = 0
-
-    def extra_params(self) -> int:
-        return 2 * self.model.params.trainable_count
-
-    def checkpoint_items(self):
-        items = super().checkpoint_items()
-        if self.anchor is not None:
-            items.append((
-                "si_state",
-                ParameterVector([
-                    Segment("anchor", Tensor(self.anchor), trainable=False),
-                    Segment("omega", Tensor(self.omega), trainable=False),
-                ]),
-            ))
-        return items
+        return gain
 
 
 def si_accumulate(path: np.ndarray, g: np.ndarray, delta: np.ndarray) -> None:

@@ -3,11 +3,11 @@
 One run = pretrain on task 0, then each incremental task in order, with the
 strategy hooks wired into every step:
 
-    backward(task loss) -> g
-    g += penalty gradient          (anchor-based strategies)
-    g  = post_batch(g)             (gradient projection)
-    apply SGD step -> delta
-    post_step(task-loss g, delta)  (path-integral accounting)
+    backward(task loss) -> g_kws
+    penalty() -> (value, grad) or None   (anchor penalties, once per step)
+    g = post_batch(g_kws + grad)          (gradient projection)
+    delta = Sgd.step(g)
+    post_step(g_kws, delta)               (path-integral accounting)
 
 After each task the strategy consolidates, every learned task is evaluated
 with eval-mode batch norm, and the accuracy matrix row is written exactly
@@ -149,12 +149,9 @@ def _train_task(
                     f"non-finite loss on task {task.task_id} epoch {epoch}{where}"
                 ) from exc
             g_kws = handle.params.grad_vector()
-            penalty = strategy.penalty_value()
-            pg = strategy.penalty_grad()
+            penalty, pg = strategy.penalty() or (0.0, None)
             g = g_kws if pg is None else g_kws + pg
-            g = strategy.post_batch(g)
-            handle.params.set_grad_vector(g)
-            delta = sgd.step()
+            delta = sgd.step(strategy.post_batch(g))
             strategy.post_step(g_kws, delta)
             batch_losses.append(float(loss.data) + penalty)
 

@@ -36,10 +36,18 @@ ORDERING_BASE = {"pcl.encoder_lr_scale": "0.1", "si.lambda": "0.5"}
 DRIFT_BASE = {"synth.freq_jitter": "0.03", "pcl.encoder_lr_scale": "0.1"}
 
 
-def _run(strategy, seed, base):
-    flat = {"strategy": strategy, "seed": str(seed)}
-    flat.update(base)
-    return trainer.run(config_from_mapping(flat))
+def _sweep(strategies, base, seeds=SEEDS):
+    """Every strategy at every seed; the runs of a seed share one stream's
+    features."""
+    reports = {}
+    for seed in seeds:
+        features = None
+        for strategy in strategies:
+            cfg = config_from_mapping({"strategy": strategy, "seed": str(seed), **base})
+            if features is None:
+                features = trainer.FeatureCache(trainer.build_stream_from_config(cfg))
+            reports[strategy, seed] = trainer.run(cfg, features=features)
+    return reports
 
 
 def _majority(votes):
@@ -50,21 +58,14 @@ def _majority(votes):
 def ordering_sweep():
     """Six strategies x three seeds on the default synthetic stream."""
     t0 = time.perf_counter()
-    reports = {}
-    for strategy in ("standalone", "pcl", "nr", "gem", "si", "finetune"):
-        for seed in SEEDS:
-            reports[strategy, seed] = _run(strategy, seed, ORDERING_BASE)
+    reports = _sweep(("standalone", "pcl", "nr", "gem", "si", "finetune"), ORDERING_BASE)
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def drift_curves():
     """Fine-tune vs frozen-route accuracy curves on a higher-overlap stream."""
-    reports = {}
-    for strategy in ("finetune", "pcl"):
-        for seed in SEEDS:
-            reports[strategy, seed] = _run(strategy, seed, DRIFT_BASE)
-    return reports
+    return _sweep(("finetune", "pcl"), DRIFT_BASE)
 
 
 # -- criterion 1: gradient suite -----------------------------------------------
@@ -383,8 +384,8 @@ def test_criterion_09_real_corpus_smoke():
         "sgd.pretrain_epochs": "5",
         "pcl.encoder_lr_scale": "0.1",
     }
-    ft = _run("finetune", 0, base)
-    pcl = _run("pcl", 0, base)
+    reports = _sweep(("finetune", "pcl"), base, seeds=(0,))
+    ft, pcl = reports["finetune", 0], reports["pcl", 0]
     table = metrics.render_table(metrics.build_comparison([ft, pcl]))
     assert "pcl" in table and "finetune" in table
     assert pcl.acc - ft.acc >= 0.15

@@ -231,28 +231,24 @@ def _one_param(value):
 
 def test_sgd_single_step_no_momentum():
     t, pv = _one_param(1.0)
-    t.grad = np.array([0.5])
-    Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0)).step()
+    Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0)).step(np.array([0.5]))
     assert t.data[0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_momentum_recurrence():
     t, pv = _one_param(1.0)
     sgd = Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.9))
-    t.grad = np.array([1.0])
-    d1 = sgd.step()
+    d1 = sgd.step(np.array([1.0]))
     assert d1[0] == pytest.approx(-0.1, abs=1e-15)
     assert t.data[0] == pytest.approx(0.9, abs=1e-15)
-    t.grad = np.array([1.0])
-    d2 = sgd.step()
+    d2 = sgd.step(np.array([1.0]))
     assert d2[0] == pytest.approx(-0.19, abs=1e-15)
     assert t.data[0] == pytest.approx(0.71, abs=1e-15)
 
 
 def test_sgd_weight_decay():
     t, pv = _one_param(2.0)
-    t.grad = np.array([0.0])
-    Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)).step()
+    Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)).step(np.array([0.0]))
     # g_eff = 0 + 0.5 * 2 = 1
     assert t.data[0] == pytest.approx(1.9, abs=1e-15)
 
@@ -262,11 +258,18 @@ def test_sgd_lr_scale_damps_coordinates():
     b = Tensor(np.array([1.0]), requires_grad=True)
     pv = ParameterVector([Segment("a", a), Segment("b", b)])
     sgd = Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0), lr_scale=np.array([0.5, 1.0]))
-    a.grad = np.array([1.0])
-    b.grad = np.array([1.0])
-    sgd.step()
+    sgd.step(np.array([1.0, 1.0]))
     assert a.data[0] == pytest.approx(0.95, abs=1e-15)
     assert b.data[0] == pytest.approx(0.90, abs=1e-15)
+
+
+def test_sgd_step_applies_its_gradient_not_the_grad_slots():
+    t, pv = _one_param(1.0)
+    t.grad = np.array([100.0])
+    delta = Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0)).step(np.array([0.5]))
+    assert delta[0] == pytest.approx(-0.05, abs=1e-15)
+    assert t.data[0] == pytest.approx(0.95, abs=1e-15)
+    np.testing.assert_array_equal(t.grad, [100.0])
 
 
 def test_sgd_training_loss_decreases_on_toy_batch():
@@ -282,7 +285,7 @@ def test_sgd_training_loss_decreases_on_toy_batch():
         pv.zero_grad()
         loss = ad.softmax_cross_entropy(ad.dense(x, w, b), labels)
         ad.backward(loss)
-        sgd.step()
+        sgd.step(pv.grad_vector())
         losses.append(float(loss.data))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 

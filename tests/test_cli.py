@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from kwslab import trainer
-from kwslab.cli import _run_grouped_by_stream, _sweep_configs, main
+from kwslab import cli, trainer
+from kwslab.cli import _group_by_stream, _run_grouped_by_stream, _sweep_configs, main
 from kwslab.config import config_from_mapping
 from kwslab.metrics import RunReport, load_report, reports_equivalent
 
@@ -110,7 +110,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     manifest order, with one progress line per run.
 
     The runner is called directly: a comparison needs every run of a seed on
-    one stream, so `kwslab sweep` stops after these runs with a ConfigError.
+    one stream, so `kwslab sweep` rejects this manifest before training.
     """
     manifest = {
         "base": dict(MICRO_FLAT),
@@ -127,7 +127,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         return real_mfcc(clip, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
-    shared = _run_grouped_by_stream(flats)
+    shared = _run_grouped_by_stream(flats, _group_by_stream(flats))
     monkeypatch.undo()
     out = capsys.readouterr().out
 
@@ -148,6 +148,26 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     for flat, doc in zip(flats, shared):
         alone = trainer.run(config_from_mapping({k: v for k, v in flat.items() if k != "out_dir"}))
         assert reports_equivalent(RunReport.from_dict(doc), alone), flat["out_dir"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rejects_split_streams_before_training(tmp_path, capsys, monkeypatch, jobs):
+    manifest = {
+        "base": dict(MICRO_FLAT),
+        "strategies": ["finetune", {"strategy": "nr", "synth.clips": 8}],
+        "seeds": [0],
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(manifest))
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError") and "seed 0" in err
+    assert trained == []
+    assert not root.exists()
 
 
 def test_sweep_rejects_empty_manifest(tmp_path, capsys):

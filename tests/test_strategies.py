@@ -187,8 +187,7 @@ def test_si_five_step_replay():
     path = np.zeros(1)
     for _ in range(5):
         g = params.flatten().copy()
-        params.set_grad_vector(g)
-        delta = sgd.step()
+        delta = sgd.step(g)
         si_accumulate(path, g, delta)
 
     # literal replay of the optimizer's update order
@@ -393,8 +392,7 @@ def test_grad_probe_leaves_no_side_effects(ctx):
 
 def test_ewc_lifecycle(ctx):
     ewc = Ewc(ctx)
-    assert ewc.penalty_value() == 0.0
-    assert ewc.penalty_grad() is None
+    assert ewc.penalty() is None
     assert [n for n, _ in ewc.checkpoint_items()] == ["model"]
 
     task0 = ctx.stream.task(0)
@@ -402,15 +400,15 @@ def test_ewc_lifecycle(ctx):
     assert ewc.anchor is not None
     assert np.all(ewc.omega >= 0.0)
     assert np.any(ewc.omega > 0.0)
-    assert ewc.penalty_value() == 0.0  # still at the anchor
+    assert ewc.penalty()[0] == 0.0  # still at the anchor
     assert [n for n, _ in ewc.checkpoint_items()] == ["model", "ewc_state"]
 
     theta = ewc.model.params.flatten()
     ewc.model.params.unflatten(theta + 1e-3)
-    assert ewc.penalty_value() > 0.0
+    assert ewc.penalty()[0] > 0.0
     value, grad = quadratic_penalty(theta + 1e-3, ewc.anchor, ewc.omega, ewc.lam)
-    assert ewc.penalty_value() == value
-    np.testing.assert_array_equal(ewc.penalty_grad(), grad)
+    assert ewc.penalty()[0] == value
+    np.testing.assert_array_equal(ewc.penalty()[1], grad)
     ewc.model.params.unflatten(theta)
 
     omega_before = ewc.omega.copy()

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from kwslab import autodiff as ad
-from kwslab import trainer
+from kwslab import strategies, trainer
 from kwslab.autodiff import Sgd, Tensor
 from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
 from kwslab.metrics import load_report, reports_equivalent
 from kwslab.seeding import rng_for
-from kwslab.strategies import EvalHandle, FineTune, TrainContext
+from kwslab.strategies import EvalHandle, FineTune, Si, TrainContext
 from kwslab.trainer import FeatureCache, evaluate, stream_fingerprint
 
 from conftest import micro_config
@@ -129,7 +129,7 @@ def test_first_epoch_replay_matches_trainer(ctx):
         handle.params.zero_grad()
         loss = ad.softmax_cross_entropy(handle.forward(x), y)
         ad.backward(loss)
-        sgd.step()
+        sgd.step(handle.params.grad_vector())
         losses.append(float(loss.data))
 
     assert report.training_log[0] == {"task": 0, "epoch": 0, "loss": float(np.mean(losses))}
@@ -151,17 +151,37 @@ def test_seed_changes_the_run():
 
 def test_penalty_is_logged_into_batch_loss(ctx):
     class Bumped(FineTune):
-        def penalty_value(self):
-            return 0.125
-
-        def penalty_grad(self):
-            return None
+        def penalty(self):
+            return 0.125, np.zeros(self.model.params.trainable_count)
 
     log_a, log_b = [], []
     trainer._train_task(ctx.cfg, ctx, Bumped(ctx), ctx.stream.task(0), log_a, [])
     trainer._train_task(ctx.cfg, ctx, FineTune(ctx), ctx.stream.task(0), log_b, [])
     for bumped, plain in zip(log_a, log_b):
         assert bumped["loss"] == pytest.approx(plain["loss"] + 0.125, abs=1e-12)
+
+
+def test_anchor_penalty_is_evaluated_once_per_step(ctx, monkeypatch):
+    si = Si(ctx)
+    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(0), [], [])
+    si.after_task(ctx.stream.task(0))
+
+    calls = {"penalty": 0, "step": 0}
+    real_penalty, real_step = strategies.quadratic_penalty, Sgd.step
+
+    def counting_penalty(*args):
+        calls["penalty"] += 1
+        return real_penalty(*args)
+
+    def counting_step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(strategies, "quadratic_penalty", counting_penalty)
+    monkeypatch.setattr(Sgd, "step", counting_step)
+    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(1), [], [])
+    assert calls["step"] > 0
+    assert calls["penalty"] == calls["step"]
 
 
 def test_empty_augmented_data_rejected(ctx):
