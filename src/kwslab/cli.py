@@ -19,7 +19,6 @@ from .config import RunConfig, config_from_mapping, load_config, normalize_strat
 from .errors import ConfigError, KwslabError
 from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
 from .models import (
-    ScalingConfig,
     SubNet,
     SubNetSpec,
     TcResNet8,

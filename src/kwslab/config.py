@@ -216,15 +216,11 @@ _KEY_TABLE = {
 }
 
 
-def _set_path(cfg: RunConfig, path: tuple[str, ...], value) -> RunConfig:
-    if len(path) == 1:
-        return replace(cfg, **{path[0]: value})
-    sub = getattr(cfg, path[0])
-    if len(path) == 2:
-        return replace(cfg, **{path[0]: replace(sub, **{path[1]: value})})
-    inner = getattr(sub, path[1])
-    new_sub = replace(sub, **{path[1]: replace(inner, **{path[2]: value})})
-    return replace(cfg, **{path[0]: new_sub})
+def _set_path(cfg, path: tuple[str, ...], value):
+    head, *rest = path
+    if rest:
+        value = _set_path(getattr(cfg, head), tuple(rest), value)
+    return replace(cfg, **{head: value})
 
 
 def config_from_mapping(flat: dict) -> RunConfig:

@@ -179,52 +179,49 @@ def reports_equivalent(a: RunReport, b: RunReport) -> bool:
     return da == db
 
 
+def _write_csv(path: str, header: list, rows) -> str:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write report.json plus the matrix and plot-series CSVs; returns paths."""
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
 
     path = os.path.join(out_dir, REPORT_FILENAME)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(path)
 
-    path = os.path.join(out_dir, "matrix.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        n = len(report.matrix)
-        writer.writerow(["after_task"] + [f"task{k}" for k in range(n)])
-        for t, row in enumerate(report.matrix):
-            writer.writerow([t] + [("" if v is None else repr(v)) for v in row])
-    written.append(path)
-
-    path = os.path.join(out_dir, "acc_vs_tasks.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tasks_learned", "acc"])
-        for t, v in enumerate(report.acc_by_task):
-            writer.writerow([t, repr(v)])
-    written.append(path)
-
-    path = os.path.join(out_dir, "params_vs_tasks.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tasks_learned", "extra_params"])
-        for t, v in enumerate(report.extra_params_by_task):
-            writer.writerow([t, v])
-    written.append(path)
-
-    path = os.path.join(out_dir, "params_vs_acc.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["extra_params", "acc"])
-        for p, v in zip(report.extra_params_by_task, report.acc_by_task):
-            writer.writerow([p, repr(v)])
-    written.append(path)
-
-    return written
+    n = len(report.matrix)
+    return [
+        path,
+        _write_csv(
+            os.path.join(out_dir, "matrix.csv"),
+            ["after_task"] + [f"task{k}" for k in range(n)],
+            ([t] + [("" if v is None else repr(v)) for v in row]
+             for t, row in enumerate(report.matrix)),
+        ),
+        _write_csv(
+            os.path.join(out_dir, "acc_vs_tasks.csv"),
+            ["tasks_learned", "acc"],
+            ([t, repr(v)] for t, v in enumerate(report.acc_by_task)),
+        ),
+        _write_csv(
+            os.path.join(out_dir, "params_vs_tasks.csv"),
+            ["tasks_learned", "extra_params"],
+            enumerate(report.extra_params_by_task),
+        ),
+        _write_csv(
+            os.path.join(out_dir, "params_vs_acc.csv"),
+            ["extra_params", "acc"],
+            ([p, repr(v)] for p, v in zip(report.extra_params_by_task, report.acc_by_task)),
+        ),
+    ]
 
 
 def load_report(path) -> RunReport:

@@ -4,7 +4,9 @@ TcResNet8 treats the MFCC coefficient axis as input channels and convolves
 along time only. The encoder/tail split (stem + first block vs the rest) is
 what the progressive strategy shares across tasks. SubNet is the width-scaled
 column grown per task on top of the shared encoder; its widths scale with the
-task's keyword count relative to the pretraining keyword count.
+task's keyword count relative to the pretraining keyword count. Models keep
+no mode: every forward takes `training`, which picks batch statistics (True)
+or the running ones (False).
 """
 
 from __future__ import annotations
@@ -93,17 +95,10 @@ class ResidualBlock:
 
 
 class Model:
-    """Base: owns a ParameterVector and a mode flag."""
+    """Base: owns a ParameterVector."""
 
     def __init__(self):
         self.params: ParameterVector | None = None
-        self.training = True
-
-    def train(self):
-        self.training = True
-
-    def eval(self):
-        self.training = False
 
     def describe(self) -> dict:
         assert self.params is not None
@@ -156,20 +151,20 @@ class TcResNet8(Model):
     # encoder = stem + block1 (the shared feature extractor); tail = the rest
     ENCODER_PREFIXES = ("stem.", "block1.")
 
-    def encoder_forward(self, x: Tensor, update_running: bool = True) -> Tensor:
+    def encoder_forward(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.n_mfcc:
             raise ShapeError(f"expected input [B, {self.n_mfcc}, T], got {x.data.shape}")
-        h = ad.relu(self.bn0(self.conv0(x), self.training, update_running))
-        return self.block1(h, self.training, update_running)
+        h = ad.relu(self.bn0(self.conv0(x), training, update_running))
+        return self.block1(h, training, update_running)
 
-    def tail_forward(self, h: Tensor, update_running: bool = True) -> Tensor:
-        h = self.block2(h, self.training, update_running)
-        h = self.block3(h, self.training, update_running)
+    def tail_forward(self, h: Tensor, training: bool, update_running: bool = True) -> Tensor:
+        h = self.block2(h, training, update_running)
+        h = self.block3(h, training, update_running)
         return self.head(ad.global_avg_pool(h))
 
-    def forward(self, x: Tensor, update_running: bool = True) -> Tensor:
+    def forward(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
         return self.tail_forward(
-            self.encoder_forward(x, update_running), update_running
+            self.encoder_forward(x, training, update_running), training, update_running
         )
 
     __call__ = forward
@@ -267,10 +262,10 @@ class SubNet(Model):
             + self.head.segments
         )
 
-    def forward(self, h: Tensor, update_running: bool = True) -> Tensor:
-        z = ad.relu(self.bn_a(self.conv_a(h), self.training, update_running))
-        z = self.bn_b(self.conv_b(z), self.training, update_running)
-        sc = self.bn_sc(self.conv_sc(h), self.training, update_running)
+    def forward(self, h: Tensor, training: bool, update_running: bool = True) -> Tensor:
+        z = ad.relu(self.bn_a(self.conv_a(h), training, update_running))
+        z = self.bn_b(self.conv_b(z), training, update_running)
+        sc = self.bn_sc(self.conv_sc(h), training, update_running)
         z = ad.relu(ad.add(z, sc))
         return self.head(ad.global_avg_pool(z))
 

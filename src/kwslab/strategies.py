@@ -5,8 +5,9 @@ back what to train (model view, parameter vector, labeling), augment_data may
 mix in replayed samples, penalty returns a regularizer's value and flat
 gradient in one call per step (or None), post_batch may rewrite the gradient,
 post_step observes the applied update, after_task consolidates state, and
-eval_handle routes evaluation for any learned task. Hooks a strategy does not
-need keep their identity defaults.
+eval_logits routes evaluation for any learned task. Hooks a strategy does not
+need keep their identity defaults. Every route is one forward that states its
+batch-norm mode.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ class TrainHandle:
     lr_scale: np.ndarray | None = None
 
 
-@dataclass
-class EvalHandle:
-    """Eval-mode logits restricted to one task's label space."""
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    label_of: Callable[[ClipRef], int]
-
-
 def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
     return lambda ref: task.local_label(ref.keyword)
 
@@ -98,7 +91,8 @@ class Strategy:
     def after_task(self, task: TaskSpec) -> None:
         pass
 
-    def eval_handle(self, task_id: int) -> EvalHandle:
+    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Eval-mode logits over the task's keywords, in `task.keywords` order."""
         raise NotImplementedError
 
     # -- accounting ---------------------------------------------------------
@@ -129,55 +123,34 @@ class GlobalHeadStrategy(Strategy):
             n_classes=stream.n_keywords,
             seed=derive_seed(ctx.cfg.seed, "model"),
         )
-        self._global_label = stream.global_label
+        self._label_of = lambda ref: stream.global_label(ref.keyword)
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
-        def forward(x: np.ndarray) -> Tensor:
-            self.model.train()
-            return self.model(Tensor(x))
-
         return TrainHandle(
-            forward=forward,
+            forward=lambda x: self.model(Tensor(x), training=True),
             params=self.model.params,
-            label_of=lambda ref: self._global_label(ref.keyword),
+            label_of=self._label_of,
         )
 
-    def eval_handle(self, task_id: int) -> EvalHandle:
-        task = self.ctx.stream.task(task_id)
-        allowed = np.array([self._global_label(kw) for kw in task.keywords])
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            self.model.eval()
-            return self.model(Tensor(x)).data[:, allowed]
-
-        return EvalHandle(forward=forward, label_of=_local_labels(task))
+    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
+        stream = self.ctx.stream
+        allowed = np.array([stream.global_label(kw) for kw in stream.task(task_id).keywords])
+        return lambda x: self.model(Tensor(x), training=False).data[:, allowed]
 
     def checkpoint_items(self):
         return [("model", self.model.params)]
 
-    def _grad_on(self, refs: list[ClipRef], per_sample: bool = False):
-        """Gradient(s) of the task loss at the current parameters.
+    def _grad_on(self, refs: list[ClipRef]) -> np.ndarray:
+        """Gradient of the task loss on refs at the current parameters.
 
         Probes run with batch statistics but never touch the running stats,
         so they are deterministic and side-effect-free at any training stage.
         """
-        label_of = lambda ref: self._global_label(ref.keyword)
-        self.model.train()
+        x, y = self.ctx.batch(refs, self._label_of)
         params = self.model.params
-        if per_sample:
-            grads = []
-            for ref in refs:
-                x, y = self.ctx.batch([ref], label_of)
-                params.zero_grad()
-                loss = ad.softmax_cross_entropy(self.model.forward(Tensor(x), update_running=False), y)
-                ad.backward(loss)
-                grads.append(params.grad_vector())
-            params.zero_grad()
-            return grads
-        x, y = self.ctx.batch(refs, label_of)
         params.zero_grad()
-        loss = ad.softmax_cross_entropy(self.model.forward(Tensor(x), update_running=False), y)
-        ad.backward(loss)
+        logits = self.model(Tensor(x), training=True, update_running=False)
+        ad.backward(ad.softmax_cross_entropy(logits, y))
         g = params.grad_vector()
         params.zero_grad()
         return g
@@ -251,7 +224,8 @@ class Ewc(AnchoredPenalty):
         if not refs:
             raise EmptyDataError("importance estimation needs at least one sample")
         total = np.zeros(self.model.params.trainable_count)
-        for g in self._grad_on(refs, per_sample=True):
+        for ref in refs:
+            g = self._grad_on([ref])
             total += g * g
         return total / len(refs)
 
@@ -510,19 +484,15 @@ class Pcl(Strategy):
         self.freeze_shared = cfg.pcl.freeze_shared
         self.encoder_lr_scale = cfg.pcl.encoder_lr_scale
         self.subnets: dict[int, SubNet] = {}
-        self.current: SubNet | None = None
-        self._pretrain_done = False
 
     # -- training -----------------------------------------------------------
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
         if task.is_pretrain:
-            def forward(x: np.ndarray) -> Tensor:
-                self.model.train()
-                return self.model(Tensor(x))
-
             return TrainHandle(
-                forward=forward, params=self.model.params, label_of=_local_labels(task)
+                forward=lambda x: self.model(Tensor(x), training=True),
+                params=self.model.params,
+                label_of=_local_labels(task),
             )
 
         subnet = instantiate_subnet(
@@ -532,75 +502,47 @@ class Pcl(Strategy):
             fixed=self.fixed,
             seed=derive_seed(self.ctx.cfg.seed, f"subnet|{task.task_id}"),
         )
-        self.current = subnet
         self.subnets[task.task_id] = subnet
 
         encoder_trains = not self.freeze_shared
-        segments = list(subnet.params.segments)
-        if encoder_trains:
-            segments = self.model.encoder_segments() + segments
-        params = ParameterVector(segments)
+        encoder = self.model.encoder_segments() if encoder_trains else []
+        params = ParameterVector(encoder + subnet.params.segments)
+        # encoder coordinates lead the flat vector
+        lr_scale = np.ones(params.trainable_count)
+        lr_scale[: sum(s.size for s in encoder if s.trainable)] = self.encoder_lr_scale
 
-        lr_scale = None
-        if encoder_trains and self.encoder_lr_scale != 1.0:
-            enc_names = {s.name for s in self.model.encoder_segments()}
-            parts = [
-                np.full(s.size, self.encoder_lr_scale if s.name in enc_names else 1.0)
-                for s in params.segments
-                if s.trainable
-            ]
-            lr_scale = np.concatenate(parts)
-
-        def forward(x: np.ndarray) -> Tensor:
-            if encoder_trains:
-                self.model.train()
-            else:
-                self.model.eval()
-            subnet.train()
-            # pretrain normalization stats stay locked: frozen routes read the
-            # encoder through them at eval time
-            h = self.model.encoder_forward(Tensor(x), update_running=False)
-            return subnet(h)
-
+        # pretrain normalization stats stay locked: frozen routes read the
+        # encoder through them at eval time
         return TrainHandle(
-            forward=forward, params=params, label_of=_local_labels(task), lr_scale=lr_scale
+            forward=lambda x: subnet(
+                self.model.encoder_forward(Tensor(x), training=encoder_trains, update_running=False),
+                training=True,
+            ),
+            params=params,
+            label_of=_local_labels(task),
+            lr_scale=lr_scale,
         )
 
     def after_task(self, task: TaskSpec) -> None:
         if task.is_pretrain:
             # the pretrained tail becomes the frozen route for task 0
-            for seg in self.model.tail_segments():
-                seg.tensor.requires_grad = False
-            self._pretrain_done = True
-            return
-        assert self.current is not None
-        for seg in self.current.params.segments:
+            frozen = self.model.tail_segments()
+        else:
+            frozen = self.subnets[task.task_id].params.segments
+        for seg in frozen:
             seg.tensor.requires_grad = False
-        self.current.eval()
-        self.current = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_handle(self, task_id: int) -> EvalHandle:
-        task = self.ctx.stream.task(task_id)
+    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         if task_id == 0:
-            def forward(x: np.ndarray) -> np.ndarray:
-                self.model.eval()
-                return self.model(Tensor(x)).data
-
-            return EvalHandle(forward=forward, label_of=_local_labels(task))
-
+            return lambda x: self.model(Tensor(x), training=False).data
         if task_id not in self.subnets:
             raise UnknownTaskError(f"no sub-network learned for task {task_id}")
         subnet = self.subnets[task_id]
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            self.model.eval()
-            subnet.eval()
-            h = self.model.encoder_forward(Tensor(x))
-            return subnet(h).data
-
-        return EvalHandle(forward=forward, label_of=_local_labels(task))
+        return lambda x: subnet(
+            self.model.encoder_forward(Tensor(x), training=False), training=False
+        ).data
 
     # -- accounting ----------------------------------------------------------
 
@@ -632,7 +574,6 @@ class StandAlone(Strategy):
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
         self.models: dict[int, TcResNet8] = {}
-        self.current_id: int | None = None
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
         model = TcResNet8(
@@ -641,29 +582,17 @@ class StandAlone(Strategy):
             seed=derive_seed(self.ctx.cfg.seed, f"standalone|{task.task_id}"),
         )
         self.models[task.task_id] = model
-        self.current_id = task.task_id
+        return TrainHandle(
+            forward=lambda x: model(Tensor(x), training=True),
+            params=model.params,
+            label_of=_local_labels(task),
+        )
 
-        def forward(x: np.ndarray) -> Tensor:
-            model.train()
-            return model(Tensor(x))
-
-        return TrainHandle(forward=forward, params=model.params, label_of=_local_labels(task))
-
-    def after_task(self, task: TaskSpec) -> None:
-        self.models[task.task_id].eval()
-        self.current_id = None
-
-    def eval_handle(self, task_id: int) -> EvalHandle:
+    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         if task_id not in self.models:
             raise UnknownTaskError(f"no model trained for task {task_id}")
         model = self.models[task_id]
-        task = self.ctx.stream.task(task_id)
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            model.eval()
-            return model(Tensor(x)).data
-
-        return EvalHandle(forward=forward, label_of=_local_labels(task))
+        return lambda x: model(Tensor(x), training=False).data
 
     def extra_params(self) -> int:
         return sum(

@@ -23,17 +23,18 @@ import hashlib
 import json
 import os
 import time
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Sgd, SgdConfig, Tensor
+from .autodiff import Sgd
 from .config import RunConfig, config_hash, config_to_flat
 from .dsp import FrontendConfig, mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import AccuracyMatrix, RunReport, emit_report, summary_metrics
 from .seeding import rng_for
-from .strategies import EvalHandle, Strategy, TrainContext, make_strategy
+from .strategies import Strategy, TrainContext, make_strategy
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
 
 EVAL_BATCH = 64
@@ -88,16 +89,17 @@ def _chunks(seq, size: int):
         yield seq[i : i + size]
 
 
-def evaluate(handle: EvalHandle, task: TaskSpec, ctx: TrainContext) -> float:
-    """Top-1 accuracy on the task's test split; ties go to the lowest index."""
+def evaluate(logits: Callable[[np.ndarray], np.ndarray], task: TaskSpec,
+             ctx: TrainContext) -> float:
+    """Top-1 accuracy on the task's test split, labeled by `task.local_label`;
+    ties go to the lowest index."""
     refs = task.test
     if not refs:
         raise EmptyDataError(f"task {task.task_id} has no test samples")
     correct = 0
     for batch in _chunks(refs, EVAL_BATCH):
-        x, y = ctx.batch(batch, handle.label_of)
-        logits = handle.forward(x)
-        pred = np.argmax(logits, axis=1)
+        x, y = ctx.batch(batch, lambda ref: task.local_label(ref.keyword))
+        pred = np.argmax(logits(x), axis=1)
         correct += int(np.sum(pred == y))
     return correct / len(refs)
 
@@ -162,7 +164,7 @@ def _train_task(
             "loss": float(np.mean(batch_losses)),
         }
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0 and epoch + 1 < epochs:
-            entry["task_acc"] = evaluate(strategy.eval_handle(task.task_id), task, ctx)
+            entry["task_acc"] = evaluate(strategy.eval_logits(task.task_id), task, ctx)
         training_log.append(entry)
 
 
@@ -210,7 +212,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
         strategy.after_task(task)
         row = []
         for k in range(task.task_id + 1):
-            a = evaluate(strategy.eval_handle(k), stream.task(k), ctx)
+            a = evaluate(strategy.eval_logits(k), stream.task(k), ctx)
             matrix.record(task.task_id, k, a)
             row.append(a)
         acc_by_task.append(float(np.mean(row)))

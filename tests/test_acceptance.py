@@ -201,8 +201,9 @@ def test_criterion_01_gradient_suite():
     labels = np.array([1, 3])
 
     def build():
-        model.train()
-        return ad.softmax_cross_entropy(model.forward(x, update_running=False), labels)
+        return ad.softmax_cross_entropy(
+            model.forward(x, training=True, update_running=False), labels
+        )
 
     coords = np.linspace(0, model.params.trainable_count - 1, 12, dtype=int)
     tensors = [s.tensor for s in model.params.segments if s.trainable]

@@ -163,15 +163,14 @@ def test_scaled_never_exceeds_fixed(c_t):
 
 def test_tcresnet8_forward_shape():
     model = TcResNet8(n_mfcc=40, n_classes=15, seed=0)
-    model.eval()
-    out = model(Tensor(np.random.default_rng(0).normal(size=(2, 40, 101))))
+    out = model(Tensor(np.random.default_rng(0).normal(size=(2, 40, 101))), training=False)
     assert out.data.shape == (2, 15)
 
 
 def test_tcresnet8_rejects_wrong_input_channels():
     model = TcResNet8(n_mfcc=40, n_classes=15, seed=0)
     with pytest.raises(ShapeError):
-        model(Tensor(np.zeros((2, 39, 98))))
+        model(Tensor(np.zeros((2, 39, 98))), training=True)
 
 
 def test_tcresnet8_rejects_single_class():
@@ -181,8 +180,9 @@ def test_tcresnet8_rejects_single_class():
 
 def test_encoder_downsamples_once():
     model = TcResNet8(seed=0)
-    model.eval()
-    h = model.encoder_forward(Tensor(np.random.default_rng(1).normal(size=(1, 40, 98))))
+    h = model.encoder_forward(
+        Tensor(np.random.default_rng(1).normal(size=(1, 40, 98))), training=False
+    )
     assert h.data.shape == (1, model.encoder_channels(), 49)
     assert model.encoder_channels() == 24
 
@@ -201,8 +201,7 @@ def test_subnet_head_matches_keyword_count():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sn = instantiate_subnet(c_t, ScalingConfig(mu=1.0, c0=15), c_in=24, seed=0)
-        sn.eval()
-        out = sn(Tensor(np.random.default_rng(2).normal(size=(3, 24, 49))))
+        out = sn(Tensor(np.random.default_rng(2).normal(size=(3, 24, 49))), training=False)
         assert out.data.shape == (3, c_t)
 
 

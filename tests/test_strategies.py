@@ -10,6 +10,7 @@ import oracles
 from kwslab import autodiff as ad
 from kwslab import trainer
 from kwslab.autodiff import ParameterVector, Segment, Sgd, SgdConfig, Tensor
+from kwslab.config import STRATEGIES
 from kwslab.errors import ConfigError, EmptyDataError, UnknownTaskError
 from kwslab.models import ScalingConfig, count_parameters, instantiate_subnet
 from kwslab.strategies import (
@@ -94,10 +95,16 @@ def test_penalty_nonnegative(deltas, omega_vals, lam):
 # -- squared-gradient importance -----------------------------------------------------
 
 def fake_ewc(grads):
+    """Each `_grad_on([ref])` call returns the next of `grads`."""
     n = len(grads[0])
+    queue = iter(grads)
+
+    def grad_on(refs):
+        assert len(refs) == 1
+        return np.asarray(next(queue), dtype=float)
+
     return SimpleNamespace(
-        model=SimpleNamespace(params=SimpleNamespace(trainable_count=n)),
-        _grad_on=lambda refs, per_sample: [np.asarray(g, dtype=float) for g in grads],
+        model=SimpleNamespace(params=SimpleNamespace(trainable_count=n)), _grad_on=grad_on
     )
 
 
@@ -362,13 +369,12 @@ def test_registry_builds_every_strategy(ctx):
 def test_global_head_eval_slices_logits(ctx):
     ft = FineTune(ctx)
     task = ctx.stream.task(1)
-    handle = ft.eval_handle(1)
-    x, y = ctx.batch(task.test, handle.label_of)
-    logits = handle.forward(x)
+    x, y = ctx.batch(task.test, lambda ref: task.local_label(ref.keyword))
+    logits = ft.eval_logits(1)(x)
     assert logits.shape == (len(task.test), task.n_keywords)
     assert set(int(v) for v in y) <= set(range(task.n_keywords))
 
-    full = ft.model(Tensor(x)).data
+    full = ft.model(Tensor(x), training=False).data
     allowed = [ctx.stream.global_label(kw) for kw in task.keywords]
     np.testing.assert_array_equal(logits, full[:, allowed])
 
@@ -504,9 +510,30 @@ def test_pcl_eval_before_learning(ctx):
             feature_shape=ctx.feature_shape,
         )
     )
-    pcl.eval_handle(0)  # task 0 routes through the base model
+    pcl.eval_logits(0)  # task 0 routes through the base model
     with pytest.raises(UnknownTaskError):
-        pcl.eval_handle(1)
+        pcl.eval_logits(1)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_eval_logits_span_the_task_keywords(name, monkeypatch):
+    """Every evaluated batch, mid-task and end-of-task, has one column per
+    keyword of the task it is scored against."""
+    real_evaluate = trainer.evaluate
+    seen = []
+
+    def checked(logits, task, ctx):
+        def columns_checked(x):
+            out = logits(x)
+            assert out.shape == (x.shape[0], task.n_keywords)
+            seen.append(task.task_id)
+            return out
+
+        return real_evaluate(columns_checked, task, ctx)
+
+    monkeypatch.setattr(trainer, "evaluate", checked)
+    report = trainer.run(micro_config(strategy=name, eval_every=1))
+    assert set(seen) == set(range(len(report.matrix)))
 
 
 # -- full micro runs ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from kwslab.autodiff import Sgd, Tensor
 from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
 from kwslab.metrics import load_report, reports_equivalent
 from kwslab.seeding import rng_for
-from kwslab.strategies import EvalHandle, FineTune, Si, TrainContext
+from kwslab.strategies import FineTune, Si, TrainContext
 from kwslab.trainer import FeatureCache, evaluate, stream_fingerprint
 
 from conftest import micro_config
@@ -34,12 +34,9 @@ def ctx():
 
 def test_evaluate_constant_logits_tie_to_lowest(ctx):
     task = ctx.stream.task(1)
-    handle = EvalHandle(
-        forward=lambda x: np.zeros((x.shape[0], task.n_keywords)),
-        label_of=lambda ref: task.local_label(ref.keyword),
-    )
+    logits = lambda x: np.zeros((x.shape[0], task.n_keywords))
     expected = sum(1 for r in task.test if task.local_label(r.keyword) == 0) / len(task.test)
-    assert evaluate(handle, task, ctx) == expected
+    assert evaluate(logits, task, ctx) == expected
 
 
 def test_evaluate_perfect_predictor(ctx):
@@ -56,14 +53,13 @@ def test_evaluate_perfect_predictor(ctx):
             out[i, labels[uri]] = 1.0
         return out
 
-    assert evaluate(EvalHandle(forward=forward, label_of=lambda r: labels[r.uri]), task, ctx) == 1.0
+    assert evaluate(forward, task, ctx) == 1.0
 
 
 def test_evaluate_empty_test_split(ctx):
     task = dataclasses.replace(ctx.stream.task(1), test=[])
-    handle = EvalHandle(forward=lambda x: np.zeros((1, 2)), label_of=lambda r: 0)
     with pytest.raises(EmptyDataError):
-        evaluate(handle, task, ctx)
+        evaluate(lambda x: np.zeros((1, 2)), task, ctx)
 
 
 # -- fingerprints ----------------------------------------------------------------------
@@ -243,6 +239,17 @@ def test_eval_every_logs_midtask_accuracy(micro_run):
     # to the end-of-task matrix row
     for t, flags in by_task.items():
         assert flags == [True, False]
+
+
+@pytest.mark.parametrize("strategy", ["finetune", "pcl", "standalone"])
+def test_midtask_evaluation_leaves_training_unchanged(micro_run, strategy):
+    """Evaluating between epochs reads the running statistics and never
+    writes them, so training goes on exactly as without it."""
+    plain, _ = micro_run(strategy)
+    probed, _ = micro_run(strategy, eval_every=1)
+    assert any("task_acc" in entry for entry in probed.training_log)
+    assert probed.matrix == plain.matrix
+    assert [e["loss"] for e in probed.training_log] == [e["loss"] for e in plain.training_log]
 
 
 def test_exclude_pretrain_headline(micro_run):
