@@ -20,7 +20,6 @@ from .errors import ConfigError, KwslabError
 from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
 from .models import (
     SubNet,
-    SubNetSpec,
     TcResNet8,
     describe_json,
     describe_text,
@@ -55,14 +54,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(flat: dict, features: FeatureCache | None = None) -> tuple[dict, float]:
+def _sweep_worker(flat: dict, features: FeatureCache | None = None) -> tuple[RunReport, float]:
     t0 = time.perf_counter()
     report = run_training(config_from_mapping(flat), features=features)
-    return report.to_dict(), time.perf_counter() - t0
+    return report, time.perf_counter() - t0
 
 
-def _print_progress(report: dict, seconds: float) -> None:
-    print(f"{report['strategy']} seed={report['seed']}: ACC={report['acc']:.4f} "
+def _print_progress(report: RunReport, seconds: float) -> None:
+    print(f"{report.strategy} seed={report.seed}: ACC={report.acc:.4f} "
           f"wall={seconds:.1f}s", flush=True)
 
 
@@ -93,19 +92,19 @@ def _require_one_stream_per_seed(flats: list[dict], groups: StreamGroups) -> Non
                 )
 
 
-def _run_grouped_by_stream(flats: list[dict], groups: StreamGroups) -> list[dict]:
+def _run_grouped_by_stream(flats: list[dict], groups: StreamGroups) -> list[RunReport]:
     """Run configs one stream at a time, sharing one feature cache per stream.
 
     Only the current stream's cache is alive, so peak memory stays that of
     one run. Results come back in the order of `flats`.
     """
-    dicts: list[dict | None] = [None] * len(flats)
+    reports: list[RunReport | None] = [None] * len(flats)
     for stream, indices in groups.values():
         features = FeatureCache(stream)
         for i in indices:
-            dicts[i], seconds = _sweep_worker(flats[i], features)
-            _print_progress(dicts[i], seconds)
-    return dicts
+            reports[i], seconds = _sweep_worker(flats[i], features)
+            _print_progress(reports[i], seconds)
+    return reports
 
 
 def _sweep_configs(manifest: dict, out_root: str) -> list[dict]:
@@ -146,14 +145,14 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         # each worker process extracts the features of its own runs
-        dicts = []
+        reports = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for doc, seconds in pool.map(_sweep_worker, flats):
-                _print_progress(doc, seconds)
-                dicts.append(doc)
+            for report, seconds in pool.map(_sweep_worker, flats):
+                _print_progress(report, seconds)
+                reports.append(report)
     else:
-        dicts = _run_grouped_by_stream(flats, groups)
-    comparison = compare_by_seed([RunReport.from_dict(d) for d in dicts])
+        reports = _run_grouped_by_stream(flats, groups)
+    comparison = compare_by_seed(reports)
 
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "comparison.json"), "w", encoding="utf-8") as fh:
@@ -163,7 +162,7 @@ def cmd_sweep(args) -> int:
         fh.write(render_csv(comparison["aggregate"]))
 
     print(render_table(comparison["aggregate"]))
-    print(f"\n{len(dicts)} runs; outputs under {out_root}")
+    print(f"\n{len(reports)} runs; outputs under {out_root}")
     return 0
 
 
@@ -202,9 +201,7 @@ def cmd_describe(args) -> int:
     else:
         if args.alpha is None:
             raise ConfigError("describe.alpha", "--alpha is required for the subnet model")
-        channels = scale_channels(args.alpha)
-        spec = SubNetSpec(alpha=args.alpha, n_classes=args.classes, scaled_channels=channels)
-        model = SubNet(c_in=TcResNet8.CHANNELS[1], spec=spec)
+        model = SubNet(TcResNet8.CHANNELS[1], scale_channels(args.alpha), args.classes)
     print(describe_json(model) if args.json else describe_text(model))
     return 0
 

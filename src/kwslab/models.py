@@ -1,12 +1,13 @@
 """Temporal-convolutional keyword models.
 
 TcResNet8 treats the MFCC coefficient axis as input channels and convolves
-along time only. The encoder/tail split (stem + first block vs the rest) is
-what the progressive strategy shares across tasks. SubNet is the width-scaled
-column grown per task on top of the shared encoder; its widths scale with the
-task's keyword count relative to the pretraining keyword count. Models keep
-no mode: every forward takes `training`, which picks batch statistics (True)
-or the running ones (False).
+along time only. Its encoder (stem + first block) is what the progressive
+strategy shares across tasks. A Column is residual blocks, a global average
+pool and a dense head on top of that encoder: TcResNet8's own tail is one,
+and SubNet is the width-scaled one-block column grown per task, its widths
+scaled by the task's keyword count relative to the pretraining keyword
+count. Models keep no mode: every forward takes `training`, which picks
+batch statistics (True) or the running ones (False).
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ class Dense:
 class ResidualBlock:
     """Two temporal convs with BN/ReLU plus a 1x1 strided shortcut."""
 
-    def __init__(self, rng, prefix: str, c_in: int, c_out: int, k: int = 3, stride: int = 2):
-        self.conv1 = Conv1d(rng, f"{prefix}.conv1", c_in, c_out, k, stride=stride)
-        self.bn1 = BatchNorm1d(f"{prefix}.bn1", c_out)
-        self.conv2 = Conv1d(rng, f"{prefix}.conv2", c_out, c_out, k, stride=1)
+    def __init__(self, rng, prefix: str, c_in: int, c_mid: int, c_out: int, k: int = 3,
+                 stride: int = 2):
+        self.conv1 = Conv1d(rng, f"{prefix}.conv1", c_in, c_mid, k, stride=stride)
+        self.bn1 = BatchNorm1d(f"{prefix}.bn1", c_mid)
+        self.conv2 = Conv1d(rng, f"{prefix}.conv2", c_mid, c_out, k, stride=1)
         self.bn2 = BatchNorm1d(f"{prefix}.bn2", c_out)
         self.conv_sc = Conv1d(rng, f"{prefix}.shortcut", c_in, c_out, 1, stride=stride)
         self.bn_sc = BatchNorm1d(f"{prefix}.bn_sc", c_out)
@@ -113,6 +115,23 @@ class Model:
         }
 
 
+class Column(Model):
+    """Residual blocks, then a global average pool and a dense head."""
+
+    def __init__(self, blocks: list[ResidualBlock], head: Dense):
+        super().__init__()
+        self.blocks = blocks
+        self.head = head
+        self.params = ParameterVector([s for b in blocks for s in b.segments] + head.segments)
+
+    def forward(self, h: Tensor, training: bool, update_running: bool = True) -> Tensor:
+        for block in self.blocks:
+            h = block(h, training, update_running)
+        return self.head(ad.global_avg_pool(h))
+
+    __call__ = forward
+
+
 class TcResNet8(Model):
     """Stem conv + three residual blocks + global pool + linear head.
 
@@ -131,25 +150,19 @@ class TcResNet8(Model):
         if n_classes < 2:
             raise ConfigError("model.n_classes", f"must be >= 2, got {n_classes}")
         self.n_mfcc = n_mfcc
-        self.n_classes = n_classes
         rng = np.random.default_rng(seed)
         c0, c1, c2, c3 = self.CHANNELS
+        k = self.BLOCK_KERNEL
 
         self.conv0 = Conv1d(rng, "stem.conv", n_mfcc, c0, self.STEM_KERNEL, stride=1)
         self.bn0 = BatchNorm1d("stem.bn", c0)
-        self.block1 = ResidualBlock(rng, "block1", c0, c1, self.BLOCK_KERNEL)
-        self.block2 = ResidualBlock(rng, "block2", c1, c2, self.BLOCK_KERNEL)
-        self.block3 = ResidualBlock(rng, "block3", c2, c3, self.BLOCK_KERNEL)
-        self.head = Dense(rng, "head", c3, n_classes)
-
-        self.params = ParameterVector(
-            self.conv0.segments + self.bn0.segments
-            + self.block1.segments + self.block2.segments + self.block3.segments
-            + self.head.segments
-        )
-
-    # encoder = stem + block1 (the shared feature extractor); tail = the rest
-    ENCODER_PREFIXES = ("stem.", "block1.")
+        self.block1 = ResidualBlock(rng, "block1", c0, c1, c1, k)
+        block2 = ResidualBlock(rng, "block2", c1, c2, c2, k)
+        block3 = ResidualBlock(rng, "block3", c2, c3, c3, k)
+        # encoder = stem + block1 (the shared feature extractor); tail = the rest
+        self.tail = Column([block2, block3], Dense(rng, "head", c3, n_classes))
+        self.encoder_segments = self.conv0.segments + self.bn0.segments + self.block1.segments
+        self.params = ParameterVector(self.encoder_segments + self.tail.params.segments)
 
     def encoder_forward(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.n_mfcc:
@@ -157,13 +170,8 @@ class TcResNet8(Model):
         h = ad.relu(self.bn0(self.conv0(x), training, update_running))
         return self.block1(h, training, update_running)
 
-    def tail_forward(self, h: Tensor, training: bool, update_running: bool = True) -> Tensor:
-        h = self.block2(h, training, update_running)
-        h = self.block3(h, training, update_running)
-        return self.head(ad.global_avg_pool(h))
-
     def forward(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
-        return self.tail_forward(
+        return self.tail(
             self.encoder_forward(x, training, update_running), training, update_running
         )
 
@@ -171,14 +179,6 @@ class TcResNet8(Model):
 
     def encoder_channels(self) -> int:
         return self.CHANNELS[1]
-
-    def encoder_segments(self) -> list[Segment]:
-        assert self.params is not None
-        return [s for s in self.params.segments if s.name.startswith(self.ENCODER_PREFIXES)]
-
-    def tail_segments(self) -> list[Segment]:
-        assert self.params is not None
-        return [s for s in self.params.segments if not s.name.startswith(self.ENCODER_PREFIXES)]
 
 
 BASE_SUBNET_CHANNELS = (16, 48)
@@ -227,62 +227,28 @@ def scale_channels(alpha: float, base_channels: tuple[int, ...] = BASE_SUBNET_CH
     return tuple(scaled)
 
 
-@dataclass(frozen=True)
-class SubNetSpec:
-    alpha: float
-    n_classes: int
-    scaled_channels: tuple[int, int]
-    fixed: bool = False
-
-
-class SubNet(Model):
-    """Per-task column: two temporal convs + 1x1 shortcut + single head.
+class SubNet(Column):
+    """Per-task column: one residual block of scaled widths + its own head.
 
     Consumes the shared encoder's feature map [B, c_in, T]; downsamples time
     by 2 at entry like a trunk block.
     """
 
-    def __init__(self, c_in: int, spec: SubNetSpec, seed: int = 0):
-        super().__init__()
-        self.spec = spec
-        self.n_classes = spec.n_classes
+    def __init__(self, c_in: int, scaled_channels: tuple[int, int], n_classes: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        c1, c2 = spec.scaled_channels
-        self.conv_a = Conv1d(rng, "sub.conv_a", c_in, c1, 3, stride=2)
-        self.bn_a = BatchNorm1d("sub.bn_a", c1)
-        self.conv_b = Conv1d(rng, "sub.conv_b", c1, c2, 3, stride=1)
-        self.bn_b = BatchNorm1d("sub.bn_b", c2)
-        self.conv_sc = Conv1d(rng, "sub.shortcut", c_in, c2, 1, stride=2)
-        self.bn_sc = BatchNorm1d("sub.bn_sc", c2)
-        self.head = Dense(rng, "sub.head", c2, spec.n_classes)
-        self.params = ParameterVector(
-            self.conv_a.segments + self.bn_a.segments
-            + self.conv_b.segments + self.bn_b.segments
-            + self.conv_sc.segments + self.bn_sc.segments
-            + self.head.segments
-        )
-
-    def forward(self, h: Tensor, training: bool, update_running: bool = True) -> Tensor:
-        z = ad.relu(self.bn_a(self.conv_a(h), training, update_running))
-        z = self.bn_b(self.conv_b(z), training, update_running)
-        sc = self.bn_sc(self.conv_sc(h), training, update_running)
-        z = ad.relu(ad.add(z, sc))
-        return self.head(ad.global_avg_pool(z))
-
-    __call__ = forward
-
-
-def make_subnet_spec(c_t: int, cfg: ScalingConfig, fixed: bool = False) -> SubNetSpec:
-    alpha = width_multiplier(c_t, cfg)
-    channels = BASE_SUBNET_CHANNELS if fixed else scale_channels(alpha)
-    return SubNetSpec(alpha=alpha, n_classes=c_t, scaled_channels=channels, fixed=fixed)
+        c1, c2 = scaled_channels
+        block = ResidualBlock(rng, "sub", c_in, c1, c2)
+        super().__init__([block], Dense(rng, "sub.head", c2, n_classes))
+        self.scaled_channels = scaled_channels
 
 
 def instantiate_subnet(
     c_t: int, cfg: ScalingConfig, c_in: int, fixed: bool = False, seed: int = 0
 ) -> SubNet:
     """Build the per-task column sized for a task with c_t keywords."""
-    return SubNet(c_in, make_subnet_spec(c_t, cfg, fixed=fixed), seed=seed)
+    alpha = width_multiplier(c_t, cfg)
+    channels = BASE_SUBNET_CHANNELS if fixed else scale_channels(alpha)
+    return SubNet(c_in, channels, c_t, seed=seed)
 
 
 def count_parameters(params: ParameterVector) -> int:

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import ParameterVector, Segment, Tensor
 from .config import RunConfig, scaling_config
 from .errors import ConfigError, EmptyDataError, UnknownTaskError
-from .models import SubNet, TcResNet8, count_parameters, instantiate_subnet
+from .models import Column, SubNet, TcResNet8, count_parameters, instantiate_subnet
 from .seeding import derive_seed, rng_for
 from .taskstream import ClipRef, TaskSpec, TaskStream
 
@@ -505,7 +505,7 @@ class Pcl(Strategy):
         self.subnets[task.task_id] = subnet
 
         encoder_trains = not self.freeze_shared
-        encoder = self.model.encoder_segments() if encoder_trains else []
+        encoder = self.model.encoder_segments if encoder_trains else []
         params = ParameterVector(encoder + subnet.params.segments)
         # encoder coordinates lead the flat vector
         lr_scale = np.ones(params.trainable_count)
@@ -524,23 +524,27 @@ class Pcl(Strategy):
         )
 
     def after_task(self, task: TaskSpec) -> None:
-        if task.is_pretrain:
-            # the pretrained tail becomes the frozen route for task 0
-            frozen = self.model.tail_segments()
-        else:
-            frozen = self.subnets[task.task_id].params.segments
+        frozen = self._column(task.task_id).params.segments
+        if task.is_pretrain and self.freeze_shared:
+            # a frozen encoder records no graph, so its backward pass is skipped
+            frozen = frozen + self.model.encoder_segments
         for seg in frozen:
             seg.tensor.requires_grad = False
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
+    def _column(self, task_id: int) -> Column:
+        """Task 0 is served by the pretrained tail, every later task by its
+        own sub-network; all of them read the shared encoder."""
         if task_id == 0:
-            return lambda x: self.model(Tensor(x), training=False).data
+            return self.model.tail
         if task_id not in self.subnets:
             raise UnknownTaskError(f"no sub-network learned for task {task_id}")
-        subnet = self.subnets[task_id]
-        return lambda x: subnet(
+        return self.subnets[task_id]
+
+    def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
+        column = self._column(task_id)
+        return lambda x: column(
             self.model.encoder_forward(Tensor(x), training=False), training=False
         ).data
 
@@ -558,7 +562,7 @@ class Pcl(Strategy):
     def report_extras(self) -> dict:
         return {
             "pcl_subnet_channels": {
-                str(tid): list(sn.spec.scaled_channels) for tid, sn in sorted(self.subnets.items())
+                str(tid): list(sn.scaled_channels) for tid, sn in sorted(self.subnets.items())
             },
             "pcl_subnet_params": {
                 str(tid): count_parameters(sn.params) for tid, sn in sorted(self.subnets.items())

@@ -9,7 +9,7 @@ import pytest
 from kwslab import cli, trainer
 from kwslab.cli import _group_by_stream, _run_grouped_by_stream, _sweep_configs, main
 from kwslab.config import config_from_mapping
-from kwslab.metrics import RunReport, load_report, reports_equivalent
+from kwslab.metrics import load_report, reports_equivalent
 
 from conftest import MICRO_FLAT
 
@@ -145,9 +145,9 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
     assert sorted(progress) == sorted(f"{f['strategy']} seed={f['seed']}" for f in flats)
 
-    for flat, doc in zip(flats, shared):
+    for flat, report in zip(flats, shared):
         alone = trainer.run(config_from_mapping({k: v for k, v in flat.items() if k != "out_dir"}))
-        assert reports_equivalent(RunReport.from_dict(doc), alone), flat["out_dir"]
+        assert reports_equivalent(report, alone), flat["out_dir"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

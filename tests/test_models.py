@@ -17,7 +17,6 @@ from kwslab.models import (
     describe_json,
     describe_text,
     instantiate_subnet,
-    make_subnet_spec,
     scale_channels,
     width_multiplier,
 )
@@ -89,8 +88,8 @@ def test_subnet_counts_scaled_and_fixed():
     cfg = ScalingConfig(mu=1.0, c0=15)
     scaled = instantiate_subnet(c_t=3, cfg=cfg, c_in=24, fixed=False, seed=0)
     fixed = instantiate_subnet(c_t=3, cfg=cfg, c_in=24, fixed=True, seed=0)
-    assert scaled.spec.scaled_channels == (3, 10)
-    assert fixed.spec.scaled_channels == (16, 48)
+    assert scaled.scaled_channels == (3, 10)
+    assert fixed.scaled_channels == (16, 48)
     assert count_parameters(scaled.params) == subnet_count(24, 3, 10, 3) == 625
     assert count_parameters(fixed.params) == subnet_count(24, 16, 48, 3) == 4979
     # the keyword-aware column is far under a fifth of the fixed one here
@@ -130,9 +129,9 @@ def test_scale_channels_clamps_with_warning():
 
 
 def test_fixed_spec_ignores_alpha():
-    spec = make_subnet_spec(c_t=2, cfg=ScalingConfig(mu=1.0, c0=15), fixed=True)
-    assert spec.scaled_channels == (16, 48)
-    assert spec.n_classes == 2
+    sn = instantiate_subnet(c_t=2, cfg=ScalingConfig(mu=1.0, c0=15), c_in=24, fixed=True)
+    assert sn.scaled_channels == (16, 48)
+    assert sn.head.w.data.shape == (2, 48)
 
 
 @given(st.integers(min_value=1, max_value=15), st.integers(min_value=1, max_value=15))
@@ -189,8 +188,8 @@ def test_encoder_downsamples_once():
 
 def test_encoder_tail_partition_covers_everything():
     model = TcResNet8(seed=0)
-    enc = {s.name for s in model.encoder_segments()}
-    tail = {s.name for s in model.tail_segments()}
+    enc = {s.name for s in model.encoder_segments}
+    tail = {s.name for s in model.tail.params.segments}
     assert enc.isdisjoint(tail)
     assert enc | tail == set(model.params.segment_names())
     assert all(n.startswith(("stem.", "block1.")) for n in enc)

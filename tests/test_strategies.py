@@ -589,6 +589,53 @@ def test_pcl_freeze_shared_zero_bwt(micro_run):
     assert report.bwt == 0.0
 
 
+def trained_pcl(monkeypatch, **overrides):
+    """A micro pcl run's strategy object, after its last task."""
+    built = []
+
+    def keep(ctx):
+        built.append(make_strategy(ctx))
+        return built[-1]
+
+    monkeypatch.setattr(trainer, "make_strategy", keep)
+    trainer.run(micro_config(strategy="pcl", **overrides))
+    return built[0]
+
+
+def test_pcl_task0_column_is_the_pretrained_model(monkeypatch):
+    pcl = trained_pcl(monkeypatch)
+    x, _ = pcl.ctx.batch(pcl.ctx.stream.task(0).test, lambda ref: 0)
+    expected = pcl.model(Tensor(x), training=False).data
+    assert pcl.eval_logits(0)(x).tobytes() == expected.tobytes()
+
+
+def test_pcl_freeze_shared_skips_encoder_backward(monkeypatch):
+    """With the encoder frozen, incremental tasks leave its grads untouched."""
+    real_before, real_after = Pcl.before_task, Pcl.after_task
+    snapshots, checked = {}, []
+
+    def encoder_grads(pcl):
+        return [None if s.tensor.grad is None else s.tensor.grad.copy()
+                for s in pcl.model.encoder_segments]
+
+    def before(self, task):
+        snapshots[task.task_id] = encoder_grads(self)
+        return real_before(self, task)
+
+    def after(self, task):
+        if not task.is_pretrain:
+            for old, new in zip(snapshots[task.task_id], encoder_grads(self)):
+                assert (old is None and new is None) or np.array_equal(old, new)
+            checked.append(task.task_id)
+        return real_after(self, task)
+
+    monkeypatch.setattr(Pcl, "before_task", before)
+    monkeypatch.setattr(Pcl, "after_task", after)
+    pcl = trained_pcl(monkeypatch, **{"pcl.freeze_shared": True})
+    assert checked == [1, 2]
+    assert not any(s.tensor.requires_grad for s in pcl.model.encoder_segments)
+
+
 def test_standalone_zero_bwt(micro_run):
     report, _ = micro_run("standalone")
     assert report.bwt == 0.0
