@@ -145,12 +145,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if c_in != c_in_w:
         raise ShapeError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
     t_out, pad_l, pad_r = _same_pad(t_in, k, stride)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_l, pad_r)))
+    span = stride * t_out  # the taps read xp[:, :, j : j + span : stride]
+    if pad_l or pad_r:
+        xp = np.zeros((B, c_in, t_in + pad_l + pad_r))
+        xp[:, :, pad_l : pad_l + t_in] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
 
-    y = np.zeros((B, c_out, t_out))
-    for j in range(k):
-        xs = xp[:, :, j : j + stride * t_out : stride]
-        y += np.matmul(w.data[:, :, j], xs)
+    y = np.matmul(w.data[:, :, 0], xp[:, :, :span:stride])
+    for j in range(1, k):
+        y += np.matmul(w.data[:, :, j], xp[:, :, j : j + span : stride])
     if b is not None:
         if b.data.shape != (c_out,):
             raise ShapeError(f"conv1d bias shape {b.data.shape} != ({c_out},)")
@@ -163,15 +167,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, :, j : j + stride * t_out : stride] += np.matmul(
-                    w.data[:, :, j].T, gy
-                )
+                gxp[:, :, j : j + span : stride] += np.matmul(w.data[:, :, j].T, gy)
             x.accumulate_grad(gxp[:, :, pad_l : pad_l + t_in])
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
+            # np.tensordot(gy, tap, axes=([0, 2], [0, 2])) per tap, with the
+            # (c_out, B*T) transpose of gy that it would copy per tap made
+            # once: the same GEMM operands, so the same bits.
+            gy_t = gy.transpose(1, 0, 2).reshape(c_out, -1)
+            gw = np.empty_like(w.data)
             for j in range(k):
-                xs = xp[:, :, j : j + stride * t_out : stride]
-                gw[:, :, j] = np.tensordot(gy, xs, axes=([0, 2], [0, 2]))
+                tap = xp[:, :, j : j + span : stride].transpose(0, 2, 1).reshape(-1, c_in)
+                gw[:, :, j] = np.dot(gy_t, tap)
             w.accumulate_grad(gw)
         if b is not None and b.requires_grad:
             b.accumulate_grad(gy.sum(axis=(0, 2)))
@@ -202,37 +208,45 @@ def batch_norm(
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ShapeError("batch_norm affine parameter shape mismatch")
 
+    # ndarray.mean and ndarray.var's own steps, sharing one centred array
+    # that is then normalised in place (biased variance)
+    n = B * T
+    mean = np.add.reduce(x.data, axis=(0, 2)) / n if training else running_mean.data
+    xhat = x.data - mean[None, :, None]
     if training:
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        var = np.add.reduce(xhat * xhat, axis=(0, 2)) / n
         if update_running:
             running_mean.data *= 1.0 - momentum
             running_mean.data += momentum * mean
             running_var.data *= 1.0 - momentum
             running_var.data += momentum * var
     else:
-        mean = running_mean.data
         var = running_var.data
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-    y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    xhat *= inv_std[None, :, None]
+    y = gamma.data[None, :, None] * xhat
+    y += beta.data[None, :, None]
     _check_finite(y, "batch_norm")
 
     def bwd(gy: np.ndarray):
+        gy_xhat = gy * xhat
+        sum_gy_xhat = gy_xhat.sum(axis=(0, 2))
+        sum_gy = gy.sum(axis=(0, 2))
         if gamma.requires_grad:
-            gamma.accumulate_grad((gy * xhat).sum(axis=(0, 2)))
+            gamma.accumulate_grad(sum_gy_xhat)
         if beta.requires_grad:
-            beta.accumulate_grad(gy.sum(axis=(0, 2)))
+            beta.accumulate_grad(sum_gy)
         if x.requires_grad:
             scale = (gamma.data * inv_std)[None, :, None]
             if training:
-                n = B * T
-                mean_gy = gy.mean(axis=(0, 2))[None, :, None]
-                mean_gy_xhat = (gy * xhat).sum(axis=(0, 2))[None, :, None] / n
-                x.accumulate_grad(scale * (gy - mean_gy - xhat * mean_gy_xhat))
+                # scale * (gy - mean(gy) - xhat * mean(gy * xhat)), in place
+                gx = gy - (sum_gy / n)[None, :, None]
+                gx -= np.multiply(xhat, (sum_gy_xhat / n)[None, :, None], out=gy_xhat)
+                gx *= scale
             else:
-                x.accumulate_grad(scale * gy)
+                gx = scale * gy
+            x.accumulate_grad(gx)
 
     return _result(y, (x, gamma, beta), bwd)
 
@@ -501,6 +515,10 @@ class Sgd:
     def step(self, g: np.ndarray) -> np.ndarray:
         """Apply one update along the flat gradient g (the grad slots are not
         read). Returns the applied delta (theta_new - theta_old)."""
+        if np.shape(g) != self.velocity.shape:
+            raise ShapeError(
+                f"expected flat gradient of {self.velocity.size}, got shape {np.shape(g)}"
+            )
         theta = self.params.flatten()
         if self.cfg.weight_decay:
             g = g + self.cfg.weight_decay * theta

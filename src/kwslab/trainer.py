@@ -13,8 +13,9 @@ After each task the strategy consolidates, every learned task is evaluated
 with eval-mode batch norm, and the accuracy matrix row is written exactly
 once. Features for every clip of the stream are extracted before the first
 task, so `epoch_seconds` covers training only. A run is single-threaded end
-to end and bit-reproducible for a fixed config; only wall-clock timings
-differ between repeats.
+to end and bit-reproducible for a fixed config at a fixed BLAS thread count;
+only wall-clock timings differ between repeats. A different thread count may
+change how BLAS sums a GEMM, and with it the last bits of the numbers.
 """
 
 from __future__ import annotations

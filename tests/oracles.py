@@ -175,3 +175,75 @@ def softmax_ce_loops(logits, labels):
         p = np.exp(z) / np.exp(z).sum()
         total += -np.log(p[labels[n]])
     return total / B
+
+
+# -- conv1d / batch norm forward and backward as plain numpy ---------------------
+#
+# The plain formulations whose results kwslab.autodiff's kernels must reproduce
+# bit for bit: np.pad plus a per-tap matmul and tensordot for conv1d, and
+# ndarray.mean/var for batch norm.
+
+def conv1d_pad_tensordot(x, w, b, stride, gy):
+    """Same-padded conv1d and its gradients for upstream gradient gy.
+
+    Returns (y, gx, gw, gb); gb is None without a bias.
+    """
+    B, c_in, t_in = x.shape
+    c_out, _, k = w.shape
+    t_out = -(-t_in // stride)
+    total = max(0, (t_out - 1) * stride + k - t_in)
+    left = total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
+
+    y = np.zeros((B, c_out, t_out))
+    for j in range(k):
+        y += np.matmul(w[:, :, j], xp[:, :, j : j + stride * t_out : stride])
+    if b is not None:
+        y += b[None, :, None]
+
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gxp[:, :, j : j + stride * t_out : stride] += np.matmul(w[:, :, j].T, gy)
+    gw = np.zeros_like(w)
+    for j in range(k):
+        xs = xp[:, :, j : j + stride * t_out : stride]
+        gw[:, :, j] = np.tensordot(gy, xs, axes=([0, 2], [0, 2]))
+    gb = None if b is None else gy.sum(axis=(0, 2))
+    return y, gxp[:, :, left : left + t_in], gw, gb
+
+
+def batch_norm_mean_var(x, gamma, beta, running_mean, running_var, training, gy,
+                        update_running=True, momentum=0.1, eps=1e-5):
+    """Batch norm over [B, C, T] and its gradients for upstream gradient gy.
+
+    Returns (y, gx, ggamma, gbeta, running_mean, running_var); the running
+    stats come back as updated copies.
+    """
+    running_mean = running_mean.copy()
+    running_var = running_var.copy()
+    if training:
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        if update_running:
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mean
+            running_var *= 1.0 - momentum
+            running_var += momentum * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    y = gamma[None, :, None] * xhat + beta[None, :, None]
+
+    ggamma = (gy * xhat).sum(axis=(0, 2))
+    gbeta = gy.sum(axis=(0, 2))
+    scale = (gamma * inv_std)[None, :, None]
+    if training:
+        n = x.shape[0] * x.shape[2]
+        mean_gy = gy.mean(axis=(0, 2))[None, :, None]
+        mean_gy_xhat = (gy * xhat).sum(axis=(0, 2))[None, :, None] / n
+        gx = scale * (gy - mean_gy - xhat * mean_gy_xhat)
+    else:
+        gx = scale * gy
+    return y, gx, ggamma, gbeta, running_mean, running_var

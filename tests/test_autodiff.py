@@ -17,6 +17,7 @@ from kwslab.autodiff import (
     restore_into,
     save_checkpoint,
 )
+from kwslab.dsp import CLIP_SAMPLES, FrontendConfig, num_frames
 from kwslab.errors import (
     CheckpointError,
     GraphFreedError,
@@ -24,6 +25,7 @@ from kwslab.errors import (
     NonScalarLossError,
     ShapeError,
 )
+from kwslab.models import ScalingConfig, TcResNet8, instantiate_subnet, width_multiplier
 
 
 def sum_of_squares(t: Tensor) -> Tensor:
@@ -122,6 +124,112 @@ def test_nan_detection():
         ad.conv1d(x, Tensor(np.ones((1, 1, 1))))
 
 
+# -- bit identity with the plain numpy formulations ------------------------------------
+
+def _model_convs():
+    """(name, (c_out, c_in, k), stride, t_in) of every conv in TcResNet8 on a
+    default clip, and in the SubNet that instantiate_subnet builds at alpha 0.2
+    on the encoder's output."""
+    model = TcResNet8()
+    scaling = ScalingConfig(mu=1.0, c0=15)
+    assert width_multiplier(3, scaling) == pytest.approx(0.2)
+    sub = instantiate_subnet(3, scaling, c_in=model.encoder_channels())
+    t = num_frames(CLIP_SAMPLES, FrontendConfig())
+    convs = [("stem", model.conv0, t)]
+    t_enc = -(-t // model.block1.conv1.stride)
+    blocks = [("block1", model.block1, t), ("subnet", sub.blocks[0], t_enc)]
+    t_in = t_enc
+    for i, block in enumerate(model.tail.blocks, start=2):
+        blocks.append((f"block{i}", block, t_in))
+        t_in = -(-t_in // block.conv1.stride)
+    for name, block, t_in in blocks:
+        t_mid = -(-t_in // block.conv1.stride)
+        convs += [
+            (f"{name}.conv1", block.conv1, t_in),
+            (f"{name}.conv2", block.conv2, t_mid),
+            (f"{name}.shortcut", block.conv_sc, t_in),
+        ]
+    return [(name, conv.w.data.shape, conv.stride, t_in) for name, conv, t_in in convs]
+
+
+MODEL_CONVS = _model_convs()
+# shapes where tensordot reshapes its operands without a copy
+EDGE_CONVS = [
+    ("k1_stride1", (24, 16, 1), 1, 49),
+    ("c_in1_unpadded", (24, 1, 1), 2, 98),
+    ("t_out1", (24, 16, 3), 2, 2),
+]
+
+
+@pytest.mark.parametrize("batch", [16, 1])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("conv", MODEL_CONVS + EDGE_CONVS, ids=lambda c: c[0])
+def test_conv1d_is_bitwise_the_pad_tensordot_formulation(conv, bias, x_grad, batch):
+    _, (c_out, c_in, k), stride, t_in = conv
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(batch, c_in, t_in))
+    w = rng.normal(size=(c_out, c_in, k))
+    b = rng.normal(size=c_out) if bias else None
+    gy = rng.normal(size=(batch, c_out, -(-t_in // stride)))
+    xt = Tensor(x, requires_grad=x_grad)
+    wt = Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True) if bias else None
+
+    out = ad.conv1d(xt, wt, bt, stride=stride)
+    out._backward(gy)  # an arbitrary upstream gradient, straight into the op
+    y, gx, gw, gb = oracles.conv1d_pad_tensordot(x, w, b, stride, gy)
+
+    assert np.array_equal(out.data, y)
+    assert np.array_equal(wt.grad, gw)
+    if x_grad:
+        assert np.array_equal(xt.grad, gx)
+    else:
+        assert xt.grad is None
+    if bias:
+        assert np.array_equal(bt.grad, gb)
+
+
+BN_MODES = {
+    "train": dict(training=True, update_running=True),
+    "train_frozen_stats": dict(training=True, update_running=False),
+    "eval": dict(training=False, update_running=True),
+}
+
+
+# (channels, frames) of the BN after each of those convs
+MODEL_BNS = sorted({(shape[0], -(-t_in // stride)) for _, shape, stride, t_in in MODEL_CONVS})
+
+
+@pytest.mark.parametrize("batch", [16, 1])
+@pytest.mark.parametrize("mode", list(BN_MODES))
+@pytest.mark.parametrize("c, t", MODEL_BNS, ids=[f"c{c}_t{t}" for c, t in MODEL_BNS])
+def test_batch_norm_is_bitwise_the_mean_var_formulation(c, t, mode, batch):
+    rng = np.random.default_rng(13)
+    x = rng.normal(loc=0.3, size=(batch, c, t))
+    gamma = rng.uniform(0.5, 1.5, size=c)
+    beta = rng.normal(size=c)
+    rm = rng.normal(size=c) * 0.1
+    rv = rng.uniform(0.5, 1.5, size=c)
+    gy = rng.normal(size=(batch, c, t))
+    xt = Tensor(x, requires_grad=True)
+    gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+    rmt, rvt = Tensor(rm.copy()), Tensor(rv.copy())
+
+    out = ad.batch_norm(xt, gt, bt, rmt, rvt, **BN_MODES[mode])
+    out._backward(gy)
+    y, gx, ggamma, gbeta, rm_new, rv_new = oracles.batch_norm_mean_var(
+        x, gamma, beta, rm, rv, gy=gy, **BN_MODES[mode]
+    )
+
+    assert np.array_equal(out.data, y)
+    assert np.array_equal(xt.grad, gx)
+    assert np.array_equal(gt.grad, ggamma)
+    assert np.array_equal(bt.grad, gbeta)
+    assert np.array_equal(rmt.data, rm_new)
+    assert np.array_equal(rvt.data, rv_new)
+
+
 # -- backward semantics -------------------------------------------------------------
 
 def test_backward_sum_gives_ones():
@@ -170,9 +278,10 @@ def test_diamond_graph_accumulates_through_both_paths():
 
 def test_conv1d_grads_vs_fd():
     rng = np.random.default_rng(7)
-    for stride in (1, 2):
+    # block convs (k=3), the unpadded strided shortcut (k=1) and the stem (k=9)
+    for k, stride in ((3, 1), (3, 2), (1, 2), (9, 1)):
         x = Tensor(rng.normal(size=(2, 3, 8)))
-        w = Tensor(rng.normal(size=(2, 3, 3)) * 0.5)
+        w = Tensor(rng.normal(size=(2, 3, k)) * 0.5)
         b = Tensor(rng.normal(size=2))
         gradcheck.check_grads(
             [x, w, b], lambda x=x, w=w, b=b, s=stride: sum_of_squares(ad.conv1d(x, w, b, stride=s))
@@ -270,6 +379,18 @@ def test_sgd_step_applies_its_gradient_not_the_grad_slots():
     assert delta[0] == pytest.approx(-0.05, abs=1e-15)
     assert t.data[0] == pytest.approx(0.95, abs=1e-15)
     np.testing.assert_array_equal(t.grad, [100.0])
+
+
+def test_sgd_step_rejects_a_wrong_length_gradient():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    pv = ParameterVector([Segment("a", a), Segment("b", b)])
+    sgd = Sgd(pv, SgdConfig(learning_rate=0.1, momentum=0.0))
+    for g in (np.array([1.0]), np.ones(4), np.ones((5, 1))):
+        with pytest.raises(ShapeError):
+            sgd.step(g)
+    np.testing.assert_array_equal(sgd.velocity, np.zeros(5))
+    np.testing.assert_array_equal(pv.flatten(), np.ones(5))
 
 
 def test_sgd_training_loss_decreases_on_toy_batch():
