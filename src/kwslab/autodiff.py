@@ -60,8 +60,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # a new array; the add makes -0.0 into +0.0 as zeros + g does
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -413,9 +414,6 @@ class ParameterVector:
     def trainable_count(self) -> int:
         return sum(s.size for s in self.segments if s.trainable)
 
-    def trainable(self) -> list[Segment]:
-        return [s for s in self.segments if s.trainable]
-
     def flatten(self) -> np.ndarray:
         parts = [s.tensor.data.ravel() for s in self.segments if s.trainable]
         if not parts:
@@ -443,7 +441,7 @@ class ParameterVector:
             if s.tensor.grad is None:
                 parts.append(np.zeros(s.size))
             else:
-                parts.append(s.tensor.grad.ravel().copy())
+                parts.append(s.tensor.grad.ravel())
         if not parts:
             return np.zeros(0)
         return np.concatenate(parts)

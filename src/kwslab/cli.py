@@ -54,9 +54,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(flat: dict, features: FeatureCache | None = None) -> tuple[RunReport, float]:
+def _sweep_worker(cfg: RunConfig, features: FeatureCache | None = None) -> tuple[RunReport, float]:
     t0 = time.perf_counter()
-    report = run_training(config_from_mapping(flat), features=features)
+    report = run_training(cfg, features=features)
     return report, time.perf_counter() - t0
 
 
@@ -68,22 +68,22 @@ def _print_progress(report: RunReport, seconds: float) -> None:
 StreamGroups = dict[str, tuple[TaskStream, list[int]]]
 
 
-def _group_by_stream(flats: list[dict]) -> StreamGroups:
-    """Indices into `flats` per stream fingerprint, with the stream they build."""
+def _group_by_stream(cfgs: list[RunConfig]) -> StreamGroups:
+    """Indices into `cfgs` per stream fingerprint, with the stream they build."""
     groups: StreamGroups = {}
-    for i, flat in enumerate(flats):
-        stream = build_stream_from_config(config_from_mapping(flat))
+    for i, cfg in enumerate(cfgs):
+        stream = build_stream_from_config(cfg)
         groups.setdefault(stream_fingerprint(stream), (stream, []))[1].append(i)
     return groups
 
 
-def _require_one_stream_per_seed(flats: list[dict], groups: StreamGroups) -> None:
+def _require_one_stream_per_seed(cfgs: list[RunConfig], groups: StreamGroups) -> None:
     """A comparison needs every run of a seed on one stream; say so before
     any run trains rather than after all of them."""
     stream_of_seed: dict[int, str] = {}
     for fingerprint, (_, indices) in groups.items():
         for i in indices:
-            seed = flats[i]["seed"]
+            seed = cfgs[i].seed
             if stream_of_seed.setdefault(seed, fingerprint) != fingerprint:
                 raise ConfigError(
                     "sweep.strategies",
@@ -92,22 +92,22 @@ def _require_one_stream_per_seed(flats: list[dict], groups: StreamGroups) -> Non
                 )
 
 
-def _run_grouped_by_stream(flats: list[dict], groups: StreamGroups) -> list[RunReport]:
+def _run_grouped_by_stream(cfgs: list[RunConfig], groups: StreamGroups) -> list[RunReport]:
     """Run configs one stream at a time, sharing one feature cache per stream.
 
     Only the current stream's cache is alive, so peak memory stays that of
-    one run. Results come back in the order of `flats`.
+    one run. Results come back in the order of `cfgs`.
     """
-    reports: list[RunReport | None] = [None] * len(flats)
+    reports: list[RunReport | None] = [None] * len(cfgs)
     for stream, indices in groups.values():
         features = FeatureCache(stream)
         for i in indices:
-            reports[i], seconds = _sweep_worker(flats[i], features)
+            reports[i], seconds = _sweep_worker(cfgs[i], features)
             _print_progress(reports[i], seconds)
     return reports
 
 
-def _sweep_configs(manifest: dict, out_root: str) -> list[dict]:
+def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
     base = dict(manifest.get("base", {}))
     strategies = manifest.get("strategies")
     if not strategies:
@@ -116,7 +116,7 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[dict]:
     if not seeds:
         raise ConfigError("sweep.seeds", "manifest needs at least one seed")
 
-    flats = []
+    cfgs = []
     for entry in strategies:
         if isinstance(entry, str):
             overrides = {"strategy": normalize_strategy(entry)}
@@ -128,30 +128,28 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[dict]:
         else:
             raise ConfigError("sweep.strategies", f"entry must be a name or mapping: {entry!r}")
         for seed in seeds:
-            flat = {**base, **overrides, "seed": int(seed)}
-            cfg = config_from_mapping(flat)  # validate early, before any training
-            flat["out_dir"] = _run_dir(out_root, cfg)
-            flats.append(flat)
-    return flats
+            cfg = config_from_mapping({**base, **overrides, "seed": int(seed)})
+            cfgs.append(replace(cfg, out_dir=_run_dir(out_root, cfg)))
+    return cfgs
 
 
 def cmd_sweep(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     out_root = _out_root(args.out or manifest.get("out_dir"))
-    flats = _sweep_configs(manifest, out_root)
-    groups = _group_by_stream(flats)
-    _require_one_stream_per_seed(flats, groups)
+    cfgs = _sweep_configs(manifest, out_root)
+    groups = _group_by_stream(cfgs)
+    _require_one_stream_per_seed(cfgs, groups)
 
     if args.jobs > 1:
         # each worker process extracts the features of its own runs
         reports = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for report, seconds in pool.map(_sweep_worker, flats):
+            for report, seconds in pool.map(_sweep_worker, cfgs):
                 _print_progress(report, seconds)
                 reports.append(report)
     else:
-        reports = _run_grouped_by_stream(flats, groups)
+        reports = _run_grouped_by_stream(cfgs, groups)
     comparison = compare_by_seed(reports)
 
     os.makedirs(out_root, exist_ok=True)

@@ -67,17 +67,6 @@ class AudioClip:
     source_id: str = ""
 
 
-@dataclass
-class FeatureMatrix:
-    """MFCC features, one row per frame."""
-
-    data: np.ndarray  # [n_frames, n_mfcc]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-
 def num_frames(n_samples: int, cfg: FrontendConfig) -> int:
     """Closed-form frame count: 1 + floor((n - frame_len) / hop)."""
     if n_samples < cfg.frame_len:
@@ -153,8 +142,8 @@ def hann_window(n: int) -> np.ndarray:
     return win
 
 
-def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """Extract an MFCC matrix from one clip.
+def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
+    """Extract the [n_frames, n_mfcc] MFCC matrix of one clip.
 
     The projection steps use einsum with a fixed summation order instead of
     BLAS so the output is bitwise identical regardless of thread count.
@@ -189,7 +178,7 @@ def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatr
     coeffs = np.einsum("fm,km->fk", log_mel, dct, optimize=False)
     if not np.all(np.isfinite(coeffs)):
         raise ShapeError(f"non-finite MFCC output for clip {clip.source_id!r}")
-    return FeatureMatrix(coeffs)
+    return coeffs
 
 
 def read_wav(path, label: str = "", source_id: str = "") -> AudioClip:
@@ -231,9 +220,9 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None
         wf.writeframes(pcm.tobytes())
 
 
-def save_feature_csv(path, feat: FeatureMatrix) -> None:
+def save_feature_csv(path, feat: np.ndarray) -> None:
     """Golden-vector format: one CSV row per frame, full float precision."""
-    np.savetxt(path, feat.data, delimiter=",", fmt="%.17g")
+    np.savetxt(path, feat, delimiter=",", fmt="%.17g")
 
 
 def load_feature_csv(path) -> np.ndarray:

@@ -19,9 +19,3 @@ def derive_seed(seed: int, purpose: str) -> int:
 
 def rng_for(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, purpose))
-
-
-def stable_rank(seed: int, key: str) -> int:
-    """Order-defining hash used for seeded but RNG-state-free shuffles."""
-    digest = hashlib.sha256(f"{seed}|{key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")

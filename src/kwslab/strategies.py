@@ -35,7 +35,6 @@ class TrainContext:
     cfg: RunConfig
     stream: TaskStream
     features: Callable[[ClipRef], np.ndarray]  # [n_mfcc, n_frames] float64
-    feature_shape: tuple[int, int]
 
     def batch(self, refs: list[ClipRef], label_of: Callable[[ClipRef], int]):
         if not refs:
@@ -45,9 +44,12 @@ class TrainContext:
         return x, y
 
     @property
+    def feature_shape(self) -> tuple[int, int]:
+        return self.features(self.stream.tasks[0].train[0]).shape
+
+    @property
     def bytes_per_sample(self) -> int:
-        n_mfcc, n_frames = self.feature_shape
-        return n_mfcc * n_frames * 8
+        return self.features(self.stream.tasks[0].train[0]).nbytes
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsp import CLIP_SAMPLES, SAMPLE_RATE, AudioClip, hz_to_mel, mel_to_hz, read_wav, write_wav
 from .errors import ConfigError, CorpusError, UnknownTaskError
-from .seeding import rng_for, stable_rank
+from .seeding import derive_seed, rng_for
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def split_refs(
     Exactly round-half-up(train_frac * n) clips train; with two or more clips
     at least one lands on each side.
     """
-    ranked = sorted(refs, key=lambda r: (stable_rank(seed, r.uri), r.uri))
+    ranked = sorted(refs, key=lambda r: (derive_seed(seed, r.uri), r.uri))
     n = len(ranked)
     n_train = int(np.floor(train_frac * n + 0.5))
     if n >= 2:

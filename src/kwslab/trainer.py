@@ -11,8 +11,8 @@ strategy hooks wired into every step:
 
 After each task the strategy consolidates, every learned task is evaluated
 with eval-mode batch norm, and the accuracy matrix row is written exactly
-once. Features for every clip of the stream are extracted before the first
-task, so `epoch_seconds` covers training only. A run is single-threaded end
+once. The `FeatureCache` holds every clip's features before the first task,
+so `epoch_seconds` covers training only. A run is single-threaded end
 to end and bit-reproducible for a fixed config at a fixed BLAS thread count;
 only wall-clock timings differ between repeats. A different thread count may
 change how BLAS sums a GEMM, and with it the last bits of the numbers.
@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Sgd
 from .config import RunConfig, config_hash, config_to_flat
-from .dsp import FrontendConfig, mfcc, pad_or_trim
+from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import AccuracyMatrix, RunReport, emit_report, summary_metrics
 from .seeding import rng_for
@@ -53,36 +53,28 @@ def stream_fingerprint(stream: TaskStream) -> str:
 
 
 class FeatureCache:
-    """MFCC features keyed by clip URI, computed on first use.
+    """MFCC features of a stream's train and test clips, keyed by clip URI.
 
-    One cache serves every run on the same stream; `stream_fingerprint`
-    says which stream that is.
+    Building the cache extracts every clip. One cache serves every run on
+    the same stream; `stream_fingerprint` says which stream that is.
     """
 
-    def __init__(self, stream: TaskStream, frontend: FrontendConfig = FrontendConfig()):
+    def __init__(self, stream: TaskStream):
         self.stream = stream
-        self.frontend = frontend
         self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
+        for task in stream.tasks:
+            for ref in (*task.train, *task.test):
+                self(ref)
 
     def __call__(self, ref: ClipRef) -> np.ndarray:
         hit = self._cache.get(ref.uri)
         if hit is None:
             clip = pad_or_trim(self.stream.load_clip(ref))
-            feat = mfcc(clip, self.frontend)
-            hit = np.ascontiguousarray(feat.data.T)  # [n_mfcc, n_frames]
+            feat = mfcc(clip)
+            hit = np.ascontiguousarray(feat.T)  # [n_mfcc, n_frames]
             self._cache[ref.uri] = hit
         return hit
-
-    def shape(self, sample_ref: ClipRef) -> tuple[int, int]:
-        arr = self(sample_ref)
-        return arr.shape[0], arr.shape[1]
-
-    def materialize(self) -> None:
-        """Extract the features of every train and test clip of every task."""
-        for task in self.stream.tasks:
-            for ref in (*task.train, *task.test):
-                self(ref)
 
 
 def _chunks(seq, size: int):
@@ -193,9 +185,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
             f"feature cache is for stream {features.stream_fingerprint}, "
             f"config builds stream {stream_fingerprint(stream)}"
         )
-    features.materialize()
-    feature_shape = features.shape(stream.tasks[0].train[0])
-    ctx = TrainContext(cfg=cfg, stream=stream, features=features, feature_shape=feature_shape)
+    ctx = TrainContext(cfg=cfg, stream=stream, features=features)
     strategy = make_strategy(ctx)
 
     matrix = AccuracyMatrix(len(stream.tasks))

@@ -274,6 +274,25 @@ def test_diamond_graph_accumulates_through_both_paths():
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
 
 
+def test_first_gradient_is_bitwise_zeros_plus_g_and_a_fresh_array():
+    """A slot's first gradient is `zeros + g` bit for bit: a new array, with
+    -0.0 made +0.0, also from a strided view like conv1d's unpadded input
+    gradient. A second gradient adds onto it."""
+    rng = np.random.default_rng(5)
+    gxp = rng.normal(size=(2, 3, 9))
+    gxp[0, 0, 2:5] = -0.0
+    gxp[1, 2, 3] = 0.0
+    for g in (gxp[:, :, 1:8], np.array([-0.0, 0.0, 1.5, -2.0])):
+        t = Tensor(np.zeros(g.shape), requires_grad=True)
+        t.accumulate_grad(g)
+        expected = np.zeros_like(t.data) + g
+        assert t.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(t.grad[t.grad == 0.0]).any()
+        assert not np.shares_memory(t.grad, g)
+        t.accumulate_grad(g)
+        assert t.grad.tobytes() == (expected + g).tobytes()
+
+
 # -- finite-difference gradient checks ----------------------------------------------
 
 def test_conv1d_grads_vs_fd():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,6 @@ import pytest
 
 from kwslab import cli, trainer
 from kwslab.cli import _group_by_stream, _run_grouped_by_stream, _sweep_configs, main
-from kwslab.config import config_from_mapping
 from kwslab.metrics import load_report, reports_equivalent
 
 from conftest import MICRO_FLAT
@@ -117,7 +117,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         "strategies": ["finetune", {"strategy": "nr", "synth.clips": 8}, "si"],
         "seeds": [0, 1],
     }
-    flats = _sweep_configs(manifest, str(tmp_path))
+    cfgs = _sweep_configs(manifest, str(tmp_path))
 
     extracted = Counter()
     real_mfcc = trainer.mfcc
@@ -127,13 +127,13 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         return real_mfcc(clip, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
-    shared = _run_grouped_by_stream(flats, _group_by_stream(flats))
+    shared = _run_grouped_by_stream(cfgs, _group_by_stream(cfgs))
     monkeypatch.undo()
     out = capsys.readouterr().out
 
     streams = {}
-    for flat in flats:
-        stream = trainer.build_stream_from_config(config_from_mapping(flat))
+    for cfg in cfgs:
+        stream = trainer.build_stream_from_config(cfg)
         streams[trainer.stream_fingerprint(stream)] = stream
     assert len(streams) == 4
     expected = Counter(
@@ -143,11 +143,11 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     assert extracted == expected
 
     progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
-    assert sorted(progress) == sorted(f"{f['strategy']} seed={f['seed']}" for f in flats)
+    assert sorted(progress) == sorted(f"{c.strategy} seed={c.seed}" for c in cfgs)
 
-    for flat, report in zip(flats, shared):
-        alone = trainer.run(config_from_mapping({k: v for k, v in flat.items() if k != "out_dir"}))
-        assert reports_equivalent(report, alone), flat["out_dir"]
+    for cfg, report in zip(cfgs, shared):
+        alone = trainer.run(dataclasses.replace(cfg, out_dir=""))
+        assert reports_equivalent(report, alone), cfg.out_dir
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -71,8 +71,8 @@ def test_num_frames_too_short():
 def test_mfcc_shape_matches_closed_form(n):
     clip = dsp.AudioClip(np.linspace(-0.5, 0.5, n))
     feat = dsp.mfcc(clip, CFG)
-    assert feat.data.shape == (dsp.num_frames(n, CFG), CFG.n_mfcc)
-    assert np.all(np.isfinite(feat.data))
+    assert feat.shape == (dsp.num_frames(n, CFG), CFG.n_mfcc)
+    assert np.all(np.isfinite(feat))
 
 
 # -- mfcc ------------------------------------------------------------------------
@@ -81,8 +81,8 @@ def test_mfcc_all_zero_clip():
     # log(floor) in every band; orthonormal DCT of a constant hits only coeff 0
     feat = dsp.mfcc(dsp.AudioClip(np.zeros(16000)), CFG)
     expected_c0 = np.log(CFG.log_floor) * np.sqrt(CFG.n_mels)
-    assert np.allclose(feat.data[:, 0], expected_c0, rtol=1e-12)
-    assert np.allclose(feat.data[:, 1:], 0.0, atol=1e-9)
+    assert np.allclose(feat[:, 0], expected_c0, rtol=1e-12)
+    assert np.allclose(feat[:, 1:], 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ def test_mfcc_all_zero_clip():
 )
 def test_mfcc_matches_golden(name, make):
     golden = np.loadtxt(os.path.join(GOLDEN_DIR, f"{name}.csv"), delimiter=",")
-    got = dsp.mfcc(make(), CFG).data
+    got = dsp.mfcc(make(), CFG)
     assert got.shape == golden.shape
     np.testing.assert_allclose(got, golden, atol=1e-8)
 
@@ -99,7 +99,7 @@ def test_mfcc_matches_golden(name, make):
 def test_mfcc_matches_naive_oracle_short_clip():
     # direct oracle comparison on a short clip, independent of the stored files
     sig = np.random.default_rng(7).uniform(-0.3, 0.3, 1600)
-    got = dsp.mfcc(dsp.AudioClip(sig), CFG).data
+    got = dsp.mfcc(dsp.AudioClip(sig), CFG)
     ref = oracles.naive_mfcc(sig)
     np.testing.assert_allclose(got, ref, atol=1e-9)
 
@@ -111,14 +111,14 @@ def test_mfcc_sine_energy_lands_near_1khz():
     centers = (fb * bin_hz).sum(axis=1) / np.maximum(fb.sum(axis=1), 1e-12)
     # invert the DCT to recover log mel energies, find the hottest band
     dct = dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels)
-    log_mel = feat.data[0] @ dct
+    log_mel = feat[0] @ dct
     assert abs(centers[np.argmax(log_mel)] - 1000.0) < 200.0
 
 
 def test_mfcc_determinism_bitwise():
     clip = noise_clip(seed=3)
-    a = dsp.mfcc(clip, CFG).data
-    b = dsp.mfcc(dsp.AudioClip(clip.samples.copy()), CFG).data
+    a = dsp.mfcc(clip, CFG)
+    b = dsp.mfcc(dsp.AudioClip(clip.samples.copy()), CFG)
     assert a.tobytes() == b.tobytes()
 
 
@@ -127,8 +127,8 @@ def test_mfcc_scaling_shifts_only_coefficient_zero():
     # broadband noise) -> orthonormal DCT maps the constant shift to coeff 0
     clip = noise_clip(seed=5, amp=0.1)
     c = 2.0
-    base = dsp.mfcc(clip, CFG).data
-    scaled = dsp.mfcc(dsp.AudioClip(clip.samples * c), CFG).data
+    base = dsp.mfcc(clip, CFG)
+    scaled = dsp.mfcc(dsp.AudioClip(clip.samples * c), CFG)
     diff = scaled - base
     np.testing.assert_allclose(diff[:, 0], 2.0 * np.log(c) * np.sqrt(CFG.n_mels), rtol=1e-9)
     np.testing.assert_allclose(diff[:, 1:], 0.0, atol=1e-9)
@@ -214,4 +214,4 @@ def test_feature_csv_round_trip(tmp_path):
     path = tmp_path / "feat.csv"
     dsp.save_feature_csv(path, feat)
     back = dsp.load_feature_csv(path)
-    np.testing.assert_array_equal(back, feat.data)
+    np.testing.assert_array_equal(back, feat)

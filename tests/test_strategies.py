@@ -36,9 +36,7 @@ from conftest import micro_config
 def micro_ctx(**overrides):
     cfg = micro_config(**overrides)
     stream = trainer.build_stream_from_config(cfg)
-    features = trainer.FeatureCache(stream)
-    shape = features.shape(stream.tasks[0].train[0])
-    return TrainContext(cfg=cfg, stream=stream, features=features, feature_shape=shape)
+    return TrainContext(cfg=cfg, stream=stream, features=trainer.FeatureCache(stream))
 
 
 # -- quadratic anchor penalty ------------------------------------------------------
@@ -360,7 +358,6 @@ def test_registry_builds_every_strategy(ctx):
                 cfg=micro_config(strategy=name),
                 stream=ctx.stream,
                 features=ctx.features,
-                feature_shape=ctx.feature_shape,
             )
             strat = make_strategy(ctx2)
         assert strat.name == name
@@ -427,7 +424,6 @@ def test_ewc_fisher_sample_cap(ctx):
         cfg=micro_config(strategy="ewc", **{"ewc.fisher_samples": 3}),
         stream=ctx.stream,
         features=ctx.features,
-        feature_shape=ctx.feature_shape,
     )
     ewc = Ewc(ctx2)
     seen = []
@@ -460,7 +456,6 @@ def test_gem_buffer_quota_and_budget(ctx):
             cfg=micro_config(strategy="gem", **{"gem.buffer": buf}),
             stream=ctx.stream,
             features=ctx.features,
-            feature_shape=ctx.feature_shape,
         )
         return Gem(ctx2)
 
@@ -482,7 +477,6 @@ def test_gem_post_batch_projects_against_buffer(ctx):
             cfg=micro_config(strategy="gem"),
             stream=ctx.stream,
             features=ctx.features,
-            feature_shape=ctx.feature_shape,
         )
     )
     g = np.ones(gem.model.params.trainable_count)
@@ -507,7 +501,6 @@ def test_pcl_eval_before_learning(ctx):
             cfg=micro_config(strategy="pcl"),
             stream=ctx.stream,
             features=ctx.features,
-            feature_shape=ctx.feature_shape,
         )
     )
     pcl.eval_logits(0)  # task 0 routes through the base model

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from conftest import micro_config
 def micro_ctx(**overrides):
     cfg = micro_config(**overrides)
     stream = trainer.build_stream_from_config(cfg)
-    features = FeatureCache(stream)
-    shape = features.shape(stream.tasks[0].train[0])
-    return TrainContext(cfg=cfg, stream=stream, features=features, feature_shape=shape)
+    return TrainContext(cfg=cfg, stream=stream, features=FeatureCache(stream))
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -101,6 +100,27 @@ def test_features_are_extracted_before_the_first_task(monkeypatch):
     trainer.run(cfg)
     stream = trainer.build_stream_from_config(cfg)
     assert len(calls) == sum(len(t.train) + len(t.test) for t in stream.tasks)
+
+
+def test_feature_cache_is_complete_when_built(monkeypatch):
+    """Building the cache extracts each train and test clip once; a run on
+    that cache extracts nothing more."""
+    calls = Counter()
+    real_mfcc = trainer.mfcc
+
+    def counting_mfcc(clip, *args, **kwargs):
+        calls[clip.source_id] += 1
+        return real_mfcc(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
+    cfg = micro_config(strategy="finetune")
+    stream = trainer.build_stream_from_config(cfg)
+    cache = FeatureCache(stream)
+    assert calls == Counter(
+        ref.uri for task in stream.tasks for ref in (*task.train, *task.test))
+    calls.clear()
+    trainer.run(cfg, features=cache)
+    assert not calls
 
 
 # -- single-task training loop ----------------------------------------------------------
