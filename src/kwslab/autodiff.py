@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     CheckpointError,
-    ConfigError,
     GraphFreedError,
     NanError,
     NonScalarLossError,
@@ -477,22 +476,6 @@ class SgdConfig:
     batch_size: int = 16
     epochs: int = 15
     pretrain_epochs: int = 30
-
-    def validate(self):
-        if not self.learning_rate > 0:
-            raise ConfigError("sgd.lr", f"must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("sgd.momentum", f"must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError("sgd.weight_decay", f"must be >= 0, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ConfigError("sgd.batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError("sgd.epochs", f"must be >= 1, got {self.epochs}")
-        if self.pretrain_epochs < 1:
-            raise ConfigError(
-                "sgd.pretrain_epochs", f"must be >= 1, got {self.pretrain_epochs}"
-            )
 
 
 class Sgd:

@@ -25,7 +25,7 @@ from .models import (
     describe_text,
     scale_channels,
 )
-from .taskstream import SynthConfig, TaskStream, materialize_synth
+from .taskstream import TaskStream, materialize_synth
 from .trainer import FeatureCache, build_stream_from_config, stream_fingerprint
 from .trainer import run as run_training
 
@@ -112,7 +112,7 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
     strategies = manifest.get("strategies")
     if not strategies:
         raise ConfigError("sweep.strategies", "manifest needs a non-empty strategies list")
-    seeds = manifest.get("seeds", [int(base.get("seed", 0))])
+    seeds = manifest.get("seeds", [base.get("seed", 0)])
     if not seeds:
         raise ConfigError("sweep.seeds", "manifest needs at least one seed")
 
@@ -128,7 +128,7 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
         else:
             raise ConfigError("sweep.strategies", f"entry must be a name or mapping: {entry!r}")
         for seed in seeds:
-            cfg = config_from_mapping({**base, **overrides, "seed": int(seed)})
+            cfg = config_from_mapping({**base, **overrides, "seed": seed})
             cfgs.append(replace(cfg, out_dir=_run_dir(out_root, cfg)))
     return cfgs
 
@@ -186,8 +186,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(n_keywords=args.keywords, clips_per_keyword=args.clips)
-    cfg.validate()
+    flat = {"synth.keywords": args.keywords, "synth.clips": args.clips}
+    cfg = config_from_mapping(flat).stream.synth
     count = materialize_synth(cfg, args.seed, args.out)
     print(f"wrote {count} clips ({args.keywords} keywords x {args.clips}) under {args.out}")
     return 0

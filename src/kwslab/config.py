@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .autodiff import SgdConfig
+from .dsp import SAMPLE_RATE
 from .errors import ConfigError
 from .models import ScalingConfig
 from .taskstream import StreamLayout, SynthConfig
@@ -38,32 +39,16 @@ class EwcConfig:
     lam: float = 100.0
     fisher_samples: int = 0  # 0 = use the whole task train split
 
-    def validate(self):
-        if self.lam < 0:
-            raise ConfigError("ewc.lambda", f"must be >= 0, got {self.lam}")
-        if self.fisher_samples < 0:
-            raise ConfigError("ewc.fisher_samples", f"must be >= 0, got {self.fisher_samples}")
-
 
 @dataclass(frozen=True)
 class SiConfig:
     lam: float = 1.0
     eps: float = 0.1
 
-    def validate(self):
-        if self.lam < 0:
-            raise ConfigError("si.lambda", f"must be >= 0, got {self.lam}")
-        if not self.eps > 0:
-            raise ConfigError("si.eps", f"must be > 0, got {self.eps}")
-
 
 @dataclass(frozen=True)
 class NrConfig:
     xi: float = 0.75
-
-    def validate(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise ConfigError("nr.xi", f"must be in (0, 1], got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +56,6 @@ class GemConfig:
     buffer: int = 128
     max_iters: int = 10000
     kkt_tol: float = 1e-8
-
-    def validate(self):
-        if self.buffer < 1:
-            raise ConfigError("gem.buffer", f"must be >= 1, got {self.buffer}")
-        if self.max_iters < 1:
-            raise ConfigError("gem.max_iters", f"must be >= 1, got {self.max_iters}")
-        if not self.kkt_tol > 0:
-            raise ConfigError("gem.kkt_tol", f"must be > 0, got {self.kkt_tol}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +65,6 @@ class PclConfig:
     freeze_shared: bool = False
     encoder_lr_scale: float = 1.0
 
-    def validate(self):
-        if not self.mu > 0:
-            raise ConfigError("pcl.mu", f"must be > 0, got {self.mu}")
-        if not 0.0 <= self.encoder_lr_scale <= 1.0:
-            raise ConfigError(
-                "pcl.encoder_lr_scale", f"must be in [0, 1], got {self.encoder_lr_scale}"
-            )
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -103,15 +72,6 @@ class StreamConfig:
     corpus_dir: str | None = None
     layout: StreamLayout = StreamLayout()
     synth: SynthConfig = SynthConfig()
-
-    def validate(self):
-        if self.source not in ("synth", "dir"):
-            raise ConfigError("stream.source", f"must be 'synth' or 'dir', got {self.source!r}")
-        if self.source == "dir" and not self.corpus_dir:
-            raise ConfigError("stream.corpus_dir", "required when stream.source = dir")
-        self.layout.validate()
-        if self.source == "synth":
-            self.synth.validate()
 
 
 @dataclass(frozen=True)
@@ -130,19 +90,15 @@ class RunConfig:
     pcl: PclConfig = PclConfig()
 
     def validate(self) -> "RunConfig":
-        if self.strategy not in STRATEGIES:
+        for key, (path, _, accepted) in _KEY_TABLE.items():
+            _check(key, _get_path(self, path), accepted)
+        if self.stream.source == "dir" and not self.stream.corpus_dir:
+            raise ConfigError("stream.corpus_dir", "required when stream.source = dir")
+        synth = self.stream.synth
+        if not synth.f_lo < synth.f_hi:
             raise ConfigError(
-                "strategy", f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}"
+                "synth.f_lo", f"must be below synth.f_hi = {synth.f_hi}, got {synth.f_lo}"
             )
-        if self.eval_every < 0:
-            raise ConfigError("eval_every", f"must be >= 0, got {self.eval_every}")
-        self.stream.validate()
-        self.sgd.validate()
-        self.ewc.validate()
-        self.si.validate()
-        self.nr.validate()
-        self.gem.validate()
-        self.pcl.validate()
         return self
 
 
@@ -160,6 +116,8 @@ def _coerce(field_name: str, raw, kind):
         if isinstance(raw, bool):
             return raw
         return _parse_bool(field_name, str(raw))
+    if kind is int and isinstance(raw, (bool, float)):
+        raise ConfigError(field_name, f"expected int, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError):
@@ -175,45 +133,71 @@ def normalize_strategy(name: str) -> str:
     return _STRATEGY_ALIASES[key]
 
 
-# flat key → (path, type); paths address nested frozen dataclasses
+_BELOW_NYQUIST = f"(0, {SAMPLE_RATE // 2})"
+
+# flat key → (path, type, accepted); paths address nested frozen dataclasses.
+# accepted is an interval as its error message prints it, a tuple of choices,
+# or None for any value.
 _KEY_TABLE = {
-    "seed": (("seed",), int),
-    "strategy": (("strategy",), str),
-    "out_dir": (("out_dir",), str),
-    "eval_every": (("eval_every",), int),
-    "metrics.include_pretrain": (("include_pretrain",), bool),
-    "stream.source": (("stream", "source"), str),
-    "stream.corpus_dir": (("stream", "corpus_dir"), str),
-    "stream.pretrain_keywords": (("stream", "layout", "n_pretrain_keywords"), int),
-    "stream.tasks": (("stream", "layout", "n_tasks"), int),
-    "stream.keywords_per_task": (("stream", "layout", "keywords_per_task"), int),
-    "stream.train_frac": (("stream", "layout", "train_frac"), float),
-    "synth.keywords": (("stream", "synth", "n_keywords"), int),
-    "synth.clips": (("stream", "synth", "clips_per_keyword"), int),
-    "synth.snr_db": (("stream", "synth", "snr_db"), float),
-    "synth.f_lo": (("stream", "synth", "f_lo"), float),
-    "synth.f_hi": (("stream", "synth", "f_hi"), float),
-    "synth.chirp": (("stream", "synth", "chirp"), float),
-    "synth.freq_jitter": (("stream", "synth", "freq_jitter"), float),
-    "sgd.lr": (("sgd", "learning_rate"), float),
-    "sgd.momentum": (("sgd", "momentum"), float),
-    "sgd.weight_decay": (("sgd", "weight_decay"), float),
-    "sgd.batch_size": (("sgd", "batch_size"), int),
-    "sgd.epochs": (("sgd", "epochs"), int),
-    "sgd.pretrain_epochs": (("sgd", "pretrain_epochs"), int),
-    "ewc.lambda": (("ewc", "lam"), float),
-    "ewc.fisher_samples": (("ewc", "fisher_samples"), int),
-    "si.lambda": (("si", "lam"), float),
-    "si.eps": (("si", "eps"), float),
-    "nr.xi": (("nr", "xi"), float),
-    "gem.buffer": (("gem", "buffer"), int),
-    "gem.max_iters": (("gem", "max_iters"), int),
-    "gem.kkt_tol": (("gem", "kkt_tol"), float),
-    "pcl.mu": (("pcl", "mu"), float),
-    "pcl.fixed": (("pcl", "fixed"), bool),
-    "pcl.freeze_shared": (("pcl", "freeze_shared"), bool),
-    "pcl.encoder_lr_scale": (("pcl", "encoder_lr_scale"), float),
+    "seed": (("seed",), int, None),
+    "strategy": (("strategy",), str, STRATEGIES),
+    "out_dir": (("out_dir",), str, None),
+    "eval_every": (("eval_every",), int, "[0, inf)"),
+    "metrics.include_pretrain": (("include_pretrain",), bool, None),
+    "stream.source": (("stream", "source"), str, ("synth", "dir")),
+    "stream.corpus_dir": (("stream", "corpus_dir"), str, None),
+    "stream.pretrain_keywords": (("stream", "layout", "n_pretrain_keywords"), int, "[2, inf)"),
+    "stream.tasks": (("stream", "layout", "n_tasks"), int, "[1, inf)"),
+    "stream.keywords_per_task": (("stream", "layout", "keywords_per_task"), int, "[1, inf)"),
+    "stream.train_frac": (("stream", "layout", "train_frac"), float, "(0, 1)"),
+    "synth.keywords": (("stream", "synth", "n_keywords"), int, "[1, inf)"),
+    "synth.clips": (("stream", "synth", "clips_per_keyword"), int, "[1, inf)"),
+    "synth.snr_db": (("stream", "synth", "snr_db"), float, "(-inf, inf]"),  # inf = noiseless
+    "synth.f_lo": (("stream", "synth", "f_lo"), float, _BELOW_NYQUIST),
+    "synth.f_hi": (("stream", "synth", "f_hi"), float, _BELOW_NYQUIST),
+    "synth.chirp": (("stream", "synth", "chirp"), float, "(-inf, inf)"),
+    "synth.freq_jitter": (("stream", "synth", "freq_jitter"), float, "[0, 0.2]"),
+    "sgd.lr": (("sgd", "learning_rate"), float, "(0, inf)"),
+    "sgd.momentum": (("sgd", "momentum"), float, "[0, 1)"),
+    "sgd.weight_decay": (("sgd", "weight_decay"), float, "[0, inf)"),
+    "sgd.batch_size": (("sgd", "batch_size"), int, "[1, inf)"),
+    "sgd.epochs": (("sgd", "epochs"), int, "[1, inf)"),
+    "sgd.pretrain_epochs": (("sgd", "pretrain_epochs"), int, "[1, inf)"),
+    "ewc.lambda": (("ewc", "lam"), float, "[0, inf)"),
+    "ewc.fisher_samples": (("ewc", "fisher_samples"), int, "[0, inf)"),
+    "si.lambda": (("si", "lam"), float, "[0, inf)"),
+    "si.eps": (("si", "eps"), float, "(0, inf)"),
+    "nr.xi": (("nr", "xi"), float, "(0, 1]"),
+    "gem.buffer": (("gem", "buffer"), int, "[1, inf)"),
+    "gem.max_iters": (("gem", "max_iters"), int, "[1, inf)"),
+    "gem.kkt_tol": (("gem", "kkt_tol"), float, "(0, inf)"),
+    "pcl.mu": (("pcl", "mu"), float, "(0, inf)"),
+    "pcl.fixed": (("pcl", "fixed"), bool, None),
+    "pcl.freeze_shared": (("pcl", "freeze_shared"), bool, None),
+    "pcl.encoder_lr_scale": (("pcl", "encoder_lr_scale"), float, "[0, 1]"),
 }
+
+
+def _check(key: str, value, accepted) -> None:
+    """Raise ConfigError unless `value` is in `accepted`. NaN is in no
+    interval; an infinity only in one closed at that end."""
+    if accepted is None:
+        return
+    if isinstance(accepted, tuple):
+        if value not in accepted:
+            raise ConfigError(key, f"must be one of {', '.join(accepted)}, got {value!r}")
+        return
+    lo, hi = (float(bound) for bound in accepted[1:-1].split(","))
+    above = value >= lo if accepted[0] == "[" else value > lo
+    below = value <= hi if accepted[-1] == "]" else value < hi
+    if not (above and below):
+        raise ConfigError(key, f"must be in {accepted}, got {value}")
+
+
+def _get_path(cfg, path: tuple[str, ...]):
+    for part in path:
+        cfg = getattr(cfg, part)
+    return cfg
 
 
 def _set_path(cfg, path: tuple[str, ...], value):
@@ -228,7 +212,7 @@ def config_from_mapping(flat: dict) -> RunConfig:
     for key in sorted(flat):
         if key not in _KEY_TABLE:
             raise ConfigError(key, "unknown configuration key")
-        path, kind = _KEY_TABLE[key]
+        path, kind, _ = _KEY_TABLE[key]
         value = _coerce(key, flat[key], kind)
         if key == "strategy":
             value = normalize_strategy(value)
@@ -281,15 +265,8 @@ def load_config(path) -> RunConfig:
 
 def config_to_flat(cfg: RunConfig) -> dict:
     """Inverse of config_from_mapping over the known key table."""
-    flat = {}
-    for key, (path, _) in _KEY_TABLE.items():
-        obj = cfg
-        for part in path:
-            obj = getattr(obj, part)
-        if obj is None:
-            continue
-        flat[key] = obj
-    return flat
+    flat = {key: _get_path(cfg, path) for key, (path, _, _) in _KEY_TABLE.items()}
+    return {key: value for key, value in flat.items() if value is not None}
 
 
 def config_hash(cfg: RunConfig) -> str:

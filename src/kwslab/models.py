@@ -195,15 +195,8 @@ class ScalingConfig:
     mu: float = 1.0
     c0: int = 15
 
-    def validate(self):
-        if not self.mu > 0:
-            raise ConfigError("pcl.mu", f"must be > 0, got {self.mu}")
-        if self.c0 < 1:
-            raise ConfigError("pcl.c0", f"must be >= 1, got {self.c0}")
-
 
 def width_multiplier(c_t: int, cfg: ScalingConfig) -> float:
-    cfg.validate()
     if c_t < 1:
         raise ConfigError("task.keywords", f"need at least 1 keyword, got {c_t}")
     return cfg.mu * c_t / cfg.c0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import CLIP_SAMPLES, SAMPLE_RATE, AudioClip, hz_to_mel, mel_to_hz, read_wav, write_wav
-from .errors import ConfigError, CorpusError, UnknownTaskError
+from .errors import CorpusError, UnknownTaskError
 from .seeding import derive_seed, rng_for
 
 
@@ -63,22 +63,6 @@ class StreamLayout:
     def total_keywords(self) -> int:
         return self.n_pretrain_keywords + self.n_tasks * self.keywords_per_task
 
-    def validate(self):
-        if self.n_pretrain_keywords < 2:
-            raise ConfigError(
-                "stream.pretrain_keywords", f"must be >= 2, got {self.n_pretrain_keywords}"
-            )
-        if self.n_tasks < 1:
-            raise ConfigError("stream.tasks", f"must be >= 1, got {self.n_tasks}")
-        if self.keywords_per_task < 1:
-            raise ConfigError(
-                "stream.keywords_per_task", f"must be >= 1, got {self.keywords_per_task}"
-            )
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError(
-                "stream.train_frac", f"must be in (0, 1), got {self.train_frac}"
-            )
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -96,24 +80,6 @@ class SynthConfig:
     f_hi: float = 6000.0
     chirp: float = 0.3
     freq_jitter: float = 0.01
-
-    def validate(self):
-        if self.n_keywords < 1:
-            raise ConfigError("synth.keywords", f"must be >= 1, got {self.n_keywords}")
-        if self.clips_per_keyword < 1:
-            raise ConfigError("synth.clips", f"must be >= 1, got {self.clips_per_keyword}")
-        if not 0.0 < self.f_lo < self.f_hi:
-            raise ConfigError(
-                "synth.band", f"need 0 < f_lo < f_hi, got ({self.f_lo}, {self.f_hi})"
-            )
-        if self.f_hi >= SAMPLE_RATE / 2:
-            raise ConfigError(
-                "synth.f_hi", f"must stay below Nyquist {SAMPLE_RATE // 2}, got {self.f_hi}"
-            )
-        if self.freq_jitter < 0 or self.freq_jitter > 0.2:
-            raise ConfigError(
-                "synth.freq_jitter", f"must be in [0, 0.2], got {self.freq_jitter}"
-            )
 
 
 def synth_keyword_name(idx: int) -> str:
@@ -299,7 +265,6 @@ def build_stream(
     root: str | None = None,
     synth: SynthConfig | None = None,
 ) -> TaskStream:
-    layout.validate()
     keywords = sorted(refs_by_keyword)
     need = layout.total_keywords
     if len(keywords) < need:
@@ -371,7 +336,6 @@ def split_corpus_dir(corpus_dir, seed: int, layout: StreamLayout = StreamLayout(
 def synth_stream(
     cfg: SynthConfig, seed: int, layout: StreamLayout = StreamLayout()
 ) -> TaskStream:
-    cfg.validate()
     if cfg.n_keywords < layout.total_keywords:
         raise CorpusError(
             f"stream layout needs {layout.total_keywords} keywords, "
@@ -389,7 +353,6 @@ def synth_stream(
 
 def materialize_synth(cfg: SynthConfig, seed: int, out_dir) -> int:
     """Render every synthetic clip to `<out>/<keyword>/clipNNNN.wav`; returns count."""
-    cfg.validate()
     out_dir = os.fspath(out_dir)
     count = 0
     for i in range(cfg.n_keywords):

@@ -9,6 +9,7 @@ import pytest
 
 from kwslab import cli, trainer
 from kwslab.cli import _group_by_stream, _run_grouped_by_stream, _sweep_configs, main
+from kwslab.errors import ConfigError
 from kwslab.metrics import load_report, reports_equivalent
 
 from conftest import MICRO_FLAT
@@ -53,6 +54,22 @@ def test_run_invalid_config(tmp_path, capsys):
     assert err.startswith("error: ConfigError")
     assert "nr.xi" in err
     assert "(0, 1]" in err
+
+
+def test_run_rejects_infinite_mu_before_training(tmp_path, capsys):
+    cfg_path = write_micro_config(tmp_path / "inf.cfg", strategy="pcl", **{"pcl.mu": "inf"})
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: ConfigError: pcl.mu: must be in (0, inf), got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_seeds_are_checked_as_ints(tmp_path):
+    for seed in (2.7, True):
+        with pytest.raises(ConfigError) as err:
+            _sweep_configs({"strategies": ["finetune"], "seeds": [seed]}, str(tmp_path))
+        assert err.value.field == "seed"
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -191,6 +208,10 @@ def test_synth_command(tmp_path, capsys):
     wavs = sorted((tmp_path / "corpus").rglob("*.wav"))
     assert len(wavs) == 6
     assert wavs[0].parent.name == "kw00"
+
+    assert main(["synth", "--out", str(tmp_path / "none"), "--keywords", "0"]) == 2
+    assert "synth.keywords: must be in [1, inf), got 0" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_describe_tcresnet8(capsys):

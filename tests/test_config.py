@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -77,6 +78,9 @@ def test_out_of_range_values_name_the_field():
     msg = str(err.value)
     assert "nr.xi" in msg
     assert "(0, 1]" in msg
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping({"synth.keywords": 0})
+    assert str(err.value) == "synth.keywords: must be in [1, inf), got 0"
 
     with pytest.raises(ConfigError):
         config_from_mapping({"sgd.lr": -1.0})
@@ -150,3 +154,147 @@ def test_frozen():
     cfg = RunConfig()
     with pytest.raises(AttributeError):
         cfg.seed = 1
+
+
+# One rejected value and the accepted value at the edge of every range check,
+# written out here rather than read from the key table. An open edge has no
+# accepted boundary; its row accepts the nearest representable value instead.
+TINY = 5e-324
+
+RANGE_CASES = [
+    ("eval_every", -1, 0),
+    ("stream.pretrain_keywords", 1, 2),
+    ("stream.tasks", 0, 1),
+    ("stream.keywords_per_task", 0, 1),
+    ("stream.train_frac", 0.0, TINY),
+    ("stream.train_frac", 1.0, 1.0 - 2.0**-53),
+    ("synth.keywords", 0, 1),
+    ("synth.clips", 0, 1),
+    ("synth.f_lo", 0.0, TINY),
+    ("synth.f_hi", 8000.0, 7999.0),
+    ("synth.freq_jitter", -0.01, 0.0),
+    ("synth.freq_jitter", 0.21, 0.2),
+    ("sgd.lr", 0.0, TINY),
+    ("sgd.momentum", 1.0, 0.0),
+    ("sgd.momentum", -0.1, 0.0),
+    ("sgd.weight_decay", -0.1, 0.0),
+    ("sgd.batch_size", 0, 1),
+    ("sgd.epochs", 0, 1),
+    ("sgd.pretrain_epochs", 0, 1),
+    ("ewc.lambda", -0.1, 0.0),
+    ("ewc.fisher_samples", -1, 0),
+    ("si.lambda", -0.1, 0.0),
+    ("si.eps", 0.0, TINY),
+    ("nr.xi", 0.0, 1.0),
+    ("nr.xi", 1.5, 1.0),
+    ("gem.buffer", 0, 1),
+    ("gem.max_iters", 0, 1),
+    ("gem.kkt_tol", 0.0, TINY),
+    ("pcl.mu", 0.0, TINY),
+    ("pcl.encoder_lr_scale", -0.1, 0.0),
+    ("pcl.encoder_lr_scale", 1.1, 1.0),
+    ("stream.source", "wav", "synth"),
+    ("strategy", "dreamer", "standalone"),
+]
+
+
+@pytest.mark.parametrize("key, bad, good", RANGE_CASES, ids=str)
+def test_range_checks_reject_outside_and_accept_the_edge(key, bad, good):
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping({key: bad})
+    assert err.value.field == key
+    assert config_to_flat(config_from_mapping({key: good}))[key] == good
+
+
+@pytest.mark.parametrize(
+    "bad, good, field",
+    [
+        ({"synth.f_lo": 6000.0}, {"synth.f_lo": 5999.0}, "synth.f_lo"),
+        ({"synth.f_lo": 700.0, "synth.f_hi": 600.0},
+         {"synth.f_lo": 500.0, "synth.f_hi": 600.0}, "synth.f_lo"),
+        ({"stream.source": "dir"}, {"stream.source": "dir", "stream.corpus_dir": "c"},
+         "stream.corpus_dir"),
+        # a dir stream checks its synth keys too
+        ({"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 0},
+         {"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 1}, "synth.clips"),
+    ],
+)
+def test_cross_key_rules(bad, good, field):
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping(bad)
+    assert err.value.field == field
+    config_from_mapping(good)
+
+
+FLOAT_KEYS = [key for key, entry in config._KEY_TABLE.items() if entry[1] is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("text", [False, True], ids=["json", "kv"])
+def test_float_keys_reject_nan_and_inf(key, text):
+    def value(x):
+        return str(x) if text else x
+
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({key: value(bad)})
+        assert err.value.field == key
+    if key == "synth.snr_db":  # +inf is a noiseless stream
+        assert config_from_mapping({key: value(float("inf"))}).stream.synth.snr_db == float("inf")
+    else:
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({key: value(float("inf"))})
+        assert err.value.field == key
+
+
+@pytest.mark.parametrize("key, raw", [("sgd.epochs", 2.7), ("seed", True)])
+def test_int_keys_reject_floats_and_bools_in_both_formats(tmp_path, key, raw):
+    js = tmp_path / "run.json"
+    js.write_text(json.dumps({key: raw}))
+    kv = tmp_path / "run.cfg"
+    kv.write_text(f"{key} = {json.dumps(raw)}\n")
+    for path in (js, kv):
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == key
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_rows() -> list[list[str]]:
+    """Cells of the README's configuration-key table, backticks stripped."""
+    section = README.read_text(encoding="utf-8").split("## Configuration keys", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = [c.strip().replace("`", "") for c in line.strip().strip("|").split("|")]
+        if cells[0] == "key" or set(cells[0]) <= {"-"}:
+            continue
+        rows.append(cells)
+    return rows
+
+
+def render_accepted(accepted) -> str:
+    if accepted is None:
+        return "any"
+    if isinstance(accepted, tuple):
+        return ", ".join(accepted)
+    return accepted
+
+
+def test_readme_config_table_matches_the_key_table():
+    rows = readme_config_rows()
+    assert [row[0] for row in rows] == list(config._KEY_TABLE)
+    defaults = config_to_flat(RunConfig())
+    for key, default, accepted, _meaning in rows:
+        _, kind, table_accepted = config._KEY_TABLE[key]
+        if key == "out_dir":
+            assert default == "derived"
+        elif key == "stream.corpus_dir":
+            assert default == "none" and key not in defaults
+        else:
+            assert config._coerce(key, default, kind) == defaults[key], key
+        assert accepted == render_accepted(table_accepted), key

@@ -105,12 +105,9 @@ def test_width_multiplier_examples():
 
 
 def test_width_multiplier_rejects_bad_inputs():
+    # mu and c0 are config keys, checked in config (test_config.py)
     with pytest.raises(ConfigError):
         width_multiplier(0, ScalingConfig())
-    with pytest.raises(ConfigError):
-        width_multiplier(3, ScalingConfig(mu=0.0))
-    with pytest.raises(ConfigError):
-        width_multiplier(3, ScalingConfig(c0=0))
 
 
 def test_scale_channels_rounding():

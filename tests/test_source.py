@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from kwslab.config import _KEY_TABLE
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kwslab"
 
 
@@ -37,3 +39,32 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def config_key_errors(source: str) -> list[str]:
+    """`ConfigError(<config key>, ...)` calls: a key's accepted values are
+    decided by its entry in config._KEY_TABLE, and nowhere else."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "ConfigError"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in _KEY_TABLE
+        ):
+            found.append(f"{node.args[0].value} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_config_key_errors():
+    source = 'ConfigError("nr.xi", "x")\nConfigError("pcl.alpha", "y")\nConfigError(name, "z")\n'
+    assert config_key_errors(source) == ["nr.xi (line 1)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "config.py"), ids=lambda p: p.name
+)
+def test_config_keys_are_checked_only_in_config(path):
+    assert config_key_errors(path.read_text(encoding="utf-8")) == []
