@@ -462,9 +462,6 @@ class ParameterVector:
         for s in self.segments:
             s.tensor.grad = None
 
-    def segment_names(self) -> list[str]:
-        return [s.name for s in self.segments]
-
 
 @dataclass(frozen=True)
 class SgdConfig:

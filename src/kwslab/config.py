@@ -54,8 +54,6 @@ class NrConfig:
 @dataclass(frozen=True)
 class GemConfig:
     buffer: int = 128
-    max_iters: int = 10000
-    kkt_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ def _coerce(field_name: str, raw, kind):
         if isinstance(raw, bool):
             return raw
         return _parse_bool(field_name, str(raw))
-    if kind is int and isinstance(raw, (bool, float)):
-        raise ConfigError(field_name, f"expected int, got {raw!r}")
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
+        raise ConfigError(field_name, f"expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError):
@@ -169,8 +167,6 @@ _KEY_TABLE = {
     "si.eps": (("si", "eps"), float, "(0, inf)"),
     "nr.xi": (("nr", "xi"), float, "(0, 1]"),
     "gem.buffer": (("gem", "buffer"), int, "[1, inf)"),
-    "gem.max_iters": (("gem", "max_iters"), int, "[1, inf)"),
-    "gem.kkt_tol": (("gem", "kkt_tol"), float, "(0, inf)"),
     "pcl.mu": (("pcl", "mu"), float, "(0, inf)"),
     "pcl.fixed": (("pcl", "fixed"), bool, None),
     "pcl.freeze_shared": (("pcl", "freeze_shared"), bool, None),

@@ -47,18 +47,6 @@ class AccuracyMatrix:
             raise MetricsError(f"cell ({t}, {k}) already written")
         self._m[t, k] = value
 
-    def value(self, t: int, k: int) -> float:
-        v = self._m[t, k]
-        if np.isnan(v):
-            raise MetricsError(f"cell ({t}, {k}) not populated")
-        return float(v)
-
-    def populated_through(self, t: int) -> bool:
-        for row in range(t + 1):
-            if np.isnan(self._m[row, : row + 1]).any():
-                return False
-        return True
-
     def array(self) -> np.ndarray:
         return self._m.copy()
 

@@ -204,8 +204,8 @@ def width_multiplier(c_t: int, cfg: ScalingConfig) -> float:
 
 def scale_channels(alpha: float, base_channels: tuple[int, ...] = BASE_SUBNET_CHANNELS) -> tuple[int, ...]:
     """Round-half-up width scaling, clamped below at one channel."""
-    if not alpha > 0:
-        raise ConfigError("pcl.alpha", f"must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError("pcl.alpha", f"must be finite and > 0, got {alpha}")
     scaled = []
     for c in base_channels:
         v = int(np.floor(alpha * c + 0.5))

@@ -326,14 +326,18 @@ class NaiveRehearsal(GlobalHeadStrategy):
         return {"nr_stored_samples": sum(nr_counts([len(d) for d in self.history], self.xi))}
 
 
-def gem_project(g_t: np.ndarray, G: np.ndarray, max_iters: int = 10000,
-                kkt_tol: float = 1e-8) -> tuple[np.ndarray, dict]:
+# largest KKT residual max|min(v, h v + b)| an accepted dual solution may have
+GEM_KKT_TOL = 1e-8
+
+
+def gem_project(g_t: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, dict]:
     """Project g_t to the closest gradient with nonnegative inner products
     against every row of G.
 
     Feasible inputs pass through untouched (same array). Otherwise solves the
-    dual  min ½ vᵀGGᵀv + (G g_t)ᵀv  s.t. v ≥ 0  by cyclic coordinate descent
-    and returns Gᵀv* + g_t.
+    dual  min ½ vᵀGGᵀv + (G g_t)ᵀv  s.t. v ≥ 0  exactly and returns
+    Gᵀv* + g_t; if the solution misses the KKT tolerance, g_t is returned
+    with info["converged"] False.
     """
     info = {"projected": False, "converged": True, "iters": 0}
     if G.size == 0:
@@ -345,71 +349,56 @@ def gem_project(g_t: np.ndarray, G: np.ndarray, max_iters: int = 10000,
     if np.all(dots >= 0.0):
         return g_t, info
 
-    # zero rows constrain nothing but would stall coordinate descent
+    # zero rows constrain nothing
     live = np.einsum("ij,ij->i", G, G) > 0.0
     Gl = G[live]
     h = Gl @ Gl.T
     b = Gl @ g_t
-    diag = np.diag(h).copy()
-    v = np.zeros(len(b))
-
+    v, info["iters"] = _solve_dual(h, b)
     info["projected"] = True
-    info["converged"] = False
-    grad = b.copy()  # gradient of the dual objective: h @ v + b
-    for it in range(1, max_iters + 1):
-        info["iters"] = it
-        for i in range(len(v)):
-            step = max(0.0, v[i] - grad[i] / diag[i])
-            change = step - v[i]
-            if change != 0.0:
-                grad += h[:, i] * change
-                v[i] = step
-        if np.max(np.abs(np.minimum(v, grad))) <= kkt_tol:
-            break
-
-    # Solve the identified active set exactly. This drives the residual to
-    # machine precision and rescues sweeps stalled by a singular Gram matrix
-    # (more constraints than gradient dimensions).
-    if max_iters > 0:
-        v = _polish_dual(h, b, v)
-        grad = h @ v + b
-    if np.max(np.abs(np.minimum(v, grad))) <= kkt_tol:
-        info["converged"] = True
+    info["converged"] = bool(np.max(np.abs(np.minimum(v, h @ v + b))) <= GEM_KKT_TOL)
+    if info["converged"]:
         return Gl.T @ v + g_t, info
     return g_t, info
 
 
-def _polish_dual(h: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Refine a converged dual iterate by solving its active set exactly.
+def _solve_dual(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """min ½ vᵀhv + bᵀv over v ≥ 0 by the Lawson–Hanson active-set method.
 
-    Coordinate descent stops at the KKT tolerance, which can leave primal
-    constraint slack of the same magnitude. The active-set solve pushes the
-    residual to machine precision; the input is kept whenever it wins.
+    The dual is the NNLS problem min ½‖Gᵀv + g‖², written here in Gram form.
+    Returns v and the number of active-set solves.
     """
-    m = len(v)
-
-    def residual(cand):
-        return float(np.max(np.abs(np.minimum(cand, h @ cand + b))))
-
-    best_v, best_r = v, residual(v)
-    active = (v > 0.0) | (h @ v + b < 0.0)
-    for _ in range(2 * m + 2):
-        idx = np.flatnonzero(active)
-        cand = np.zeros(m)
-        if idx.size:
-            sol, *_ = np.linalg.lstsq(h[np.ix_(idx, idx)], -b[idx], rcond=None)
-            if np.any(sol < 0.0):
-                active[idx[np.argmin(sol)]] = False
-                continue
-            cand[idx] = sol
-        r = residual(cand)
-        if r < best_r:
-            best_v, best_r = cand, r
-        violated = (h @ cand + b < 0.0) & ~active
-        if not violated.any():
+    m = len(b)
+    v = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    steps, max_steps = 0, 3 * m + 3
+    while steps < max_steps:
+        w = np.where(passive, -np.inf, -(h @ v + b))
+        j = int(np.argmax(w))
+        if w[j] <= 0.0:
             break
-        active |= violated
-    return best_v
+        passive[j] = True
+        while passive.any() and steps < max_steps:
+            steps += 1
+            idx = np.flatnonzero(passive)
+            s = np.zeros(m)
+            s[idx], *_ = np.linalg.lstsq(h[np.ix_(idx, idx)], -b[idx], rcond=None)
+            if v[j] == 0.0 and s[j] <= 0.0:
+                # the entering index cannot move (rounding on a singular h):
+                # every further step would repeat this one
+                return v, steps
+            if np.all(s[idx] > 0.0):
+                v = s
+                break
+            # step back along v -> s until the first passive entry hits zero
+            out = idx[s[idx] <= 0.0]
+            ratios = v[out] / (v[out] - s[out])
+            first = int(np.argmin(ratios))
+            v = v + ratios[first] * (s - v)
+            v[out[first]] = 0.0
+            passive &= v > 0.0
+            v[~passive] = 0.0
+    return v, steps
 
 
 class Gem(GlobalHeadStrategy):
@@ -423,8 +412,6 @@ class Gem(GlobalHeadStrategy):
         n_slots = len(ctx.stream.tasks)
         self.budget = gcfg.buffer
         self.quota = max(1, gcfg.buffer // n_slots)
-        self.max_iters = gcfg.max_iters
-        self.kkt_tol = gcfg.kkt_tol
         self.buffers: list[list[ClipRef]] = []
         self.fallbacks = 0
         self.projections = 0
@@ -434,7 +421,7 @@ class Gem(GlobalHeadStrategy):
         if not live:
             return g
         G = np.stack([self._grad_on(buf) for buf in live])
-        g_new, info = gem_project(g, G, max_iters=self.max_iters, kkt_tol=self.kkt_tol)
+        g_new, info = gem_project(g, G)
         if info["projected"]:
             self.projections += 1
             if not info["converged"]:

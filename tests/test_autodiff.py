@@ -491,7 +491,7 @@ def test_checkpoint_round_trip_f8_bitwise(tmp_path):
     save_checkpoint(path, pv, dtype="<f8", meta={"task": 3})
     meta, segs = load_checkpoint(path)
     assert meta == {"task": 3}
-    assert [s.name for s in segs] == pv.segment_names()
+    assert [s.name for s in segs] == [s.name for s in pv.segments]
     assert [s.trainable for s in segs] == [True, False]
     for got, want in zip(segs, pv.segments):
         assert got.tensor.data.tobytes() == want.tensor.data.tobytes()

@@ -232,6 +232,12 @@ def test_describe_subnet(capsys):
     assert "describe.alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
+def test_describe_rejects_a_nonfinite_or_nonpositive_alpha(capsys, alpha):
+    assert main(["describe", "--model", "subnet", "--classes", "3", "--alpha", alpha]) == 2
+    assert "pcl.alpha" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kwslab.cli", "describe", "--model", "tcresnet8"],

@@ -188,8 +188,6 @@ RANGE_CASES = [
     ("nr.xi", 0.0, 1.0),
     ("nr.xi", 1.5, 1.0),
     ("gem.buffer", 0, 1),
-    ("gem.max_iters", 0, 1),
-    ("gem.kkt_tol", 0.0, TINY),
     ("pcl.mu", 0.0, TINY),
     ("pcl.encoder_lr_scale", -0.1, 0.0),
     ("pcl.encoder_lr_scale", 1.1, 1.0),
@@ -247,13 +245,18 @@ def test_float_keys_reject_nan_and_inf(key, text):
         assert err.value.field == key
 
 
-@pytest.mark.parametrize("key, raw", [("sgd.epochs", 2.7), ("seed", True)])
+@pytest.mark.parametrize(
+    "key, raw",
+    [("sgd.epochs", 2.7), ("seed", True), ("sgd.lr", True), ("nr.xi", True), ("out_dir", False)],
+)
 def test_int_keys_reject_floats_and_bools_in_both_formats(tmp_path, key, raw):
     js = tmp_path / "run.json"
     js.write_text(json.dumps({key: raw}))
     kv = tmp_path / "run.cfg"
     kv.write_text(f"{key} = {json.dumps(raw)}\n")
-    for path in (js, kv):
+    # a key = value line reads `false` as the text "false", a valid str value
+    paths = (js,) if config._KEY_TABLE[key][1] is str else (js, kv)
+    for path in paths:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.field == key

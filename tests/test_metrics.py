@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,11 +35,11 @@ def full_matrix(rows):
 def test_record_and_read_back():
     m = AccuracyMatrix(3)
     m.record(1, 0, 0.5)
-    assert m.value(1, 0) == 0.5
-    assert not m.populated_through(1)
+    assert m.array()[1, 0] == 0.5
+    assert np.isnan(m.array()[0, 0])
     m.record(0, 0, 0.9)
     m.record(1, 1, 0.7)
-    assert m.populated_through(1)
+    assert m.as_lists()[:2] == [[0.9, None, None], [0.5, 0.7, None]]
 
 
 def test_record_rejects_bad_cells():
@@ -55,8 +56,9 @@ def test_record_rejects_bad_cells():
 
 
 def test_read_unpopulated_cell():
-    with pytest.raises(MetricsError):
-        AccuracyMatrix(2).value(0, 0)
+    m = AccuracyMatrix(2)
+    assert np.isnan(m.array()[0, 0])
+    assert m.as_lists()[0][0] is None
 
 
 def test_lists_round_trip():

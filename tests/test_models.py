@@ -188,7 +188,7 @@ def test_encoder_tail_partition_covers_everything():
     enc = {s.name for s in model.encoder_segments}
     tail = {s.name for s in model.tail.params.segments}
     assert enc.isdisjoint(tail)
-    assert enc | tail == set(model.params.segment_names())
+    assert enc | tail == {s.name for s in model.params.segments}
     assert all(n.startswith(("stem.", "block1.")) for n in enc)
 
 

@@ -68,3 +68,28 @@ def test_checker_flags_config_key_errors():
 )
 def test_config_keys_are_checked_only_in_config(path):
     assert config_key_errors(path.read_text(encoding="utf-8")) == []
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names read as `x.name` anywhere in the source."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_config_keys(sources: list[str]) -> list[str]:
+    """Keys of config._KEY_TABLE whose field no source reads."""
+    read = set().union(*(attributes_read(s) for s in sources))
+    return [key for key, (path, _, _) in _KEY_TABLE.items() if path[-1] not in read]
+
+
+def test_checker_flags_unread_config_keys():
+    assert "nr.xi" in unread_config_keys(["cfg.nr.lam\nx.xi = 1\n"])
+    assert "nr.xi" not in unread_config_keys(["cfg.nr.xi\n"])
+
+
+def test_every_config_key_is_read_outside_config():
+    sources = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p.name != "config.py"]
+    assert unread_config_keys(sources) == []

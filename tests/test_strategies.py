@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kwslab import autodiff as ad
-from kwslab import trainer
+from kwslab import strategies, trainer
 from kwslab.autodiff import ParameterVector, Segment, Sgd, SgdConfig, Tensor
 from kwslab.config import STRATEGIES
 from kwslab.errors import EmptyDataError, UnknownTaskError
@@ -312,9 +312,38 @@ def test_gem_nonfinite_rejected():
         gem_project(np.array([np.nan]), np.array([[1.0]]))
 
 
-def test_gem_fallback_when_not_converged():
+def test_gem_degenerate_constraints_match_enumeration_oracle():
+    """Singular Gram matrices: duplicated rows, opposite rows, and more
+    constraints than gradient dimensions."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        g = rng.standard_normal(d)
+        a, c = rng.standard_normal((2, d))
+        cases.append((g, np.stack([a, a, c])))
+        cases.append((g, np.stack([a, -a, c])))
+        cases.append((g, np.stack([a, 2.0 * a])))
+        cases.append((g, rng.standard_normal((d + int(rng.integers(1, 3)), d))))
+    projected = 0
+    for g, G in cases:
+        out, info = gem_project(g, G)
+        assert info["converged"]
+        assert info["iters"] < 3 * len(G) + 3  # no cycling up to the step bound
+        np.testing.assert_allclose(out, oracles.qp_project_enum(g, G), atol=1e-6)
+        assert np.min(G @ out) >= -1e-9
+        projected += info["projected"]
+    assert projected >= 40
+
+
+def _dual_stuck_at_zero(h, b):
+    return np.zeros(len(b)), 0
+
+
+def test_gem_fallback_when_not_converged(monkeypatch):
+    monkeypatch.setattr(strategies, "_solve_dual", _dual_stuck_at_zero)
     g = np.array([1.0, -1.0])
-    out, info = gem_project(g, np.array([[0.0, 1.0]]), max_iters=0)
+    out, info = gem_project(g, np.array([[0.0, 1.0]]))
     assert info == {"projected": True, "converged": False, "iters": 0}
     assert out is g
 
@@ -458,7 +487,7 @@ def test_gem_buffer_quota_and_budget(ctx):
     assert [len(b) for b in gem.buffers] == [1, 0, 0]
 
 
-def test_gem_post_batch_projects_against_buffer(ctx):
+def test_gem_post_batch_projects_against_buffer(ctx, monkeypatch):
     gem = Gem(
         TrainContext(
             cfg=micro_config(strategy="gem"),
@@ -475,7 +504,7 @@ def test_gem_post_batch_projects_against_buffer(ctx):
     assert gem.projections == 1 and gem.fallbacks == 0
     assert float(gb @ out) >= -1e-9
 
-    gem.max_iters = 0
+    monkeypatch.setattr(strategies, "_solve_dual", _dual_stuck_at_zero)
     with pytest.warns(RuntimeWarning):
         out = gem.post_batch(-gb)
     assert gem.fallbacks == 1
