@@ -27,6 +27,9 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"KWSLABCP"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_DTYPE = "<f8"  # little-endian float64, the dtype of every Tensor
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+BN_EPS = 1e-5
 
 
 class Tensor:
@@ -81,11 +84,11 @@ def _check_finite(arr: np.ndarray, op: str):
         raise NanError(f"{op} produced a non-finite value")
 
 
-def backward(loss: Tensor, retain_graph: bool = False):
+def backward(loss: Tensor):
     """Populate grads of every requires_grad tensor reachable from ``loss``.
 
-    Repeated calls accumulate, but only if the graph was retained; by default
-    the graph is freed after the pass and a second call raises.
+    The pass frees the graph: a second call on the same loss raises
+    GraphFreedError. Leaf gradients accumulate until zero_grad().
     """
     if loss.data.size != 1:
         raise NonScalarLossError(f"backward() needs a scalar, got shape {loss.data.shape}")
@@ -115,10 +118,9 @@ def backward(loss: Tensor, retain_graph: bool = False):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None  # op outputs are pass-local; only leaves accumulate
-        if not retain_graph:
-            node._freed = node._backward is not None
-            node._parents = ()
-            node._backward = None
+        node._freed = node._backward is not None
+        node._parents = ()
+        node._backward = None
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +194,13 @@ def batch_norm(
     running_mean: Tensor,
     running_var: Tensor,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
     update_running: bool = True,
 ) -> Tensor:
     """Per-channel batch normalization over [B, C, T].
 
     Training mode normalizes with batch statistics (biased variance) and,
-    unless update_running is off, folds them into the running stats in place.
-    Eval mode normalizes with the running stats.
+    unless update_running is off, folds them into the running stats in place
+    with BN_MOMENTUM. Eval mode normalizes with the running stats.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batch_norm expects [B, C, T], got {x.shape}")
@@ -216,14 +216,14 @@ def batch_norm(
     if training:
         var = np.add.reduce(xhat * xhat, axis=(0, 2)) / n
         if update_running:
-            running_mean.data *= 1.0 - momentum
-            running_mean.data += momentum * mean
-            running_var.data *= 1.0 - momentum
-            running_var.data += momentum * var
+            running_mean.data *= 1.0 - BN_MOMENTUM
+            running_mean.data += BN_MOMENTUM * mean
+            running_var.data *= 1.0 - BN_MOMENTUM
+            running_var.data += BN_MOMENTUM * var
     else:
         var = running_var.data
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     y = gamma.data[None, :, None] * xhat
     y += beta.data[None, :, None]
@@ -514,13 +514,11 @@ class Sgd:
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_bytes(params: ParameterVector, dtype: str = "<f4", meta: dict | None = None) -> bytes:
-    """Serialize segments: magic, version header (JSON), raw little-endian payload."""
-    if dtype not in ("<f4", "<f8"):
-        raise CheckpointError(f"unsupported checkpoint dtype {dtype!r}")
+def checkpoint_bytes(params: ParameterVector, meta: dict | None = None) -> bytes:
+    """Serialize segments: magic, version header (JSON), raw little-endian float64 payload."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "dtype": dtype,
+        "dtype": CHECKPOINT_DTYPE,
         "meta": meta or {},
         "segments": [
             {"name": s.name, "shape": list(s.tensor.data.shape), "trainable": s.trainable}
@@ -529,18 +527,19 @@ def checkpoint_bytes(params: ParameterVector, dtype: str = "<f4", meta: dict | N
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = b"".join(
-        np.ascontiguousarray(s.tensor.data, dtype=dtype).tobytes() for s in params.segments
+        np.ascontiguousarray(s.tensor.data, dtype=CHECKPOINT_DTYPE).tobytes()
+        for s in params.segments
     )
     return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + payload
 
 
-def save_checkpoint(path, params: ParameterVector, dtype: str = "<f4", meta: dict | None = None):
+def save_checkpoint(path, params: ParameterVector, meta: dict | None = None):
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params, dtype=dtype, meta=meta))
+        fh.write(checkpoint_bytes(params, meta=meta))
 
 
 def load_checkpoint(path) -> tuple[dict, list[Segment]]:
-    """Read a checkpoint back as (meta, segments). Values are upcast to float64."""
+    """Read a checkpoint back as (meta, segments)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -552,8 +551,9 @@ def load_checkpoint(path) -> tuple[dict, list[Segment]]:
     off += hlen
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-    dtype = header["dtype"]
-    itemsize = np.dtype(dtype).itemsize
+    if header.get("dtype") != CHECKPOINT_DTYPE:
+        raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}")
+    itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
     segments = []
     for desc in header["segments"]:
         shape = tuple(desc["shape"])
@@ -561,7 +561,7 @@ def load_checkpoint(path) -> tuple[dict, list[Segment]]:
         raw = blob[off : off + count * itemsize]
         if len(raw) != count * itemsize:
             raise CheckpointError(f"{path}: truncated payload for segment {desc['name']}")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
+        arr = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape).astype(np.float64)
         segments.append(Segment(desc["name"], Tensor(arr), desc["trainable"]))
         off += count * itemsize
     return header.get("meta", {}), segments

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from .autodiff import SgdConfig
 from .dsp import SAMPLE_RATE
 from .errors import ConfigError
-from .models import ScalingConfig
+from .models import MAX_SUBNET_CHANNELS, ScalingConfig, widest_scaled_channels, width_multiplier
 from .taskstream import StreamLayout, SynthConfig
 
 STRATEGIES = ("finetune", "ewc", "si", "nr", "gem", "pcl", "standalone")
@@ -97,6 +97,15 @@ class RunConfig:
             raise ConfigError(
                 "synth.f_lo", f"must be below synth.f_hi = {synth.f_hi}, got {synth.f_lo}"
             )
+        # the width multiplier of every incremental task's pcl sub-network
+        alpha = width_multiplier(self.stream.layout.keywords_per_task, scaling_config(self))
+        widest = widest_scaled_channels(alpha)
+        if widest > MAX_SUBNET_CHANNELS:
+            raise ConfigError(
+                "pcl.mu",
+                f"{self.pcl.mu} (times stream.keywords_per_task / stream.pretrain_keywords) "
+                f"scales a sub-network layer to {widest:.4g} channels, above {MAX_SUBNET_CHANNELS}",
+            )
         return self
 
 
@@ -114,7 +123,13 @@ def _coerce(field_name: str, raw, kind):
         if isinstance(raw, bool):
             return raw
         return _parse_bool(field_name, str(raw))
-    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
+    # a JSON bool is no number or text, a JSON float no int, and only a JSON
+    # string (or a `key = value` line) is text
+    if (
+        isinstance(raw, bool)
+        or (kind is int and isinstance(raw, float))
+        or (kind is str and not isinstance(raw, str))
+    ):
         raise ConfigError(field_name, f"expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)

@@ -1,16 +1,15 @@
 """MFCC frontend for one-second 16 kHz keyword clips.
 
 Pipeline: pre-emphasis, framing, Hann window, power spectrum, triangular
-mel filterbank (HTK scale), floored log, orthonormal DCT-II. Everything is
-a pure function of the input clip and the config, so results are bitwise
-reproducible and safe to call from multiple threads. The window, filterbank
-and DCT depend only on the config; they are built once per config and
-shared as read-only arrays.
+mel filterbank (HTK scale), floored log, orthonormal DCT-II. The settings
+are fixed module constants (conventional KWS values), so the window,
+filterbank and DCT are built once at import and shared as read-only arrays.
+Everything else is a pure function of the input clip, so results are
+bitwise reproducible and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
-import functools
 import wave
 from dataclasses import dataclass
 
@@ -20,41 +19,15 @@ from .errors import EmptyDataError, ShapeError, WavFormatError
 
 SAMPLE_RATE = 16000
 CLIP_SAMPLES = 16000
-
-
-@dataclass(frozen=True)
-class FrontendConfig:
-    """Feature extraction parameters. Defaults are conventional KWS settings."""
-
-    sample_rate: int = SAMPLE_RATE
-    frame_ms: float = 30.0
-    hop_ms: float = 10.0
-    n_mels: int = 40
-    n_mfcc: int = 40
-    preemphasis: float = 0.97
-    log_floor: float = 1e-10
-    fmin: float = 0.0
-    fmax: float | None = None  # None means Nyquist
-
-    @property
-    def frame_len(self) -> int:
-        return int(round(self.sample_rate * self.frame_ms / 1000.0))
-
-    @property
-    def hop_len(self) -> int:
-        return int(round(self.sample_rate * self.hop_ms / 1000.0))
-
-    @property
-    def n_fft(self) -> int:
-        # next power of two >= frame length
-        n = 1
-        while n < self.frame_len:
-            n *= 2
-        return n
-
-    @property
-    def fmax_hz(self) -> float:
-        return self.sample_rate / 2.0 if self.fmax is None else self.fmax
+FRAME_LEN = 480  # 30 ms
+HOP_LEN = 160  # 10 ms
+N_FFT = 512  # next power of two >= FRAME_LEN
+N_MELS = 40
+N_MFCC = 40
+PREEMPHASIS = 0.97
+LOG_FLOOR = 1e-10
+FMIN_HZ = 0.0
+FMAX_HZ = SAMPLE_RATE / 2.0  # Nyquist
 
 
 @dataclass
@@ -67,26 +40,24 @@ class AudioClip:
     source_id: str = ""
 
 
-def num_frames(n_samples: int, cfg: FrontendConfig) -> int:
+def num_frames(n_samples: int) -> int:
     """Closed-form frame count: 1 + floor((n - frame_len) / hop)."""
-    if n_samples < cfg.frame_len:
+    if n_samples < FRAME_LEN:
         raise ShapeError(
-            f"clip of {n_samples} samples is shorter than one frame ({cfg.frame_len})"
+            f"clip of {n_samples} samples is shorter than one frame ({FRAME_LEN})"
         )
-    return 1 + (n_samples - cfg.frame_len) // cfg.hop_len
+    return 1 + (n_samples - FRAME_LEN) // HOP_LEN
 
 
-def pad_or_trim(clip: AudioClip, target_len: int = CLIP_SAMPLES) -> AudioClip:
-    """Zero-pad the tail or truncate so the clip has exactly target_len samples."""
-    if target_len <= 0:
-        raise ShapeError(f"target_len must be positive, got {target_len}")
+def pad_or_trim(clip: AudioClip) -> AudioClip:
+    """Zero-pad the tail or truncate so the clip has exactly CLIP_SAMPLES samples."""
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyDataError(f"clip {clip.source_id!r} has no samples")
-    if x.size > target_len:
-        y = x[:target_len].copy()
-    elif x.size < target_len:
-        y = np.concatenate([x, np.zeros(target_len - x.size)])
+    if x.size > CLIP_SAMPLES:
+        y = x[:CLIP_SAMPLES].copy()
+    elif x.size < CLIP_SAMPLES:
+        y = np.concatenate([x, np.zeros(CLIP_SAMPLES - x.size)])
     else:
         y = x.copy()
     return AudioClip(y, clip.sample_rate, clip.label, clip.source_id)
@@ -100,82 +71,74 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
-    """Triangular mel filters sampled at FFT bin centers.
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
-    Returns [n_mels, n_fft//2 + 1], read-only and memoised per config. HTK
-    mel scale, unit peak, no area normalization.
+
+def _mel_filterbank() -> np.ndarray:
+    """Triangular mel filters sampled at FFT bin centers, [N_MELS, N_FFT//2 + 1].
+
+    HTK mel scale, unit peak, no area normalization.
     """
-    n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * (cfg.sample_rate / cfg.n_fft)
-    edges_mel = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
+    n_bins = N_FFT // 2 + 1
+    bin_hz = np.arange(n_bins) * (SAMPLE_RATE / N_FFT)
+    edges_mel = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
     edges_hz = mel_to_hz(edges_mel)
 
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fb = np.zeros((N_MELS, n_bins))
+    for m in range(N_MELS):
         lo, ctr, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         up = (bin_hz - lo) / (ctr - lo)
         down = (hi - bin_hz) / (hi - ctr)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
-    fb.setflags(write=False)
     return fb
 
 
-@functools.lru_cache(maxsize=16)
-def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix, rows are basis vectors; read-only, memoised."""
-    n = np.arange(n_in)
-    k = np.arange(n_out)[:, None]
-    mat = np.cos(np.pi * (2 * n + 1) * k / (2.0 * n_in))
-    mat *= np.sqrt(2.0 / n_in)
+def _dct_matrix() -> np.ndarray:
+    """Orthonormal DCT-II matrix [N_MFCC, N_MELS]; rows are basis vectors."""
+    n = np.arange(N_MELS)
+    k = np.arange(N_MFCC)[:, None]
+    mat = np.cos(np.pi * (2 * n + 1) * k / (2.0 * N_MELS))
+    mat *= np.sqrt(2.0 / N_MELS)
     mat[0] *= np.sqrt(0.5)
-    mat.setflags(write=False)
     return mat
 
 
-@functools.lru_cache(maxsize=16)
-def hann_window(n: int) -> np.ndarray:
-    # periodic Hann, the usual STFT analysis window; read-only, memoised
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    win.setflags(write=False)
-    return win
+# periodic Hann, the usual STFT analysis window
+HANN_WINDOW = _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN))
+MEL_FILTERBANK = _read_only(_mel_filterbank())
+DCT_MATRIX = _read_only(_dct_matrix())
 
 
-def mfcc(clip: AudioClip, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """Extract the [n_frames, n_mfcc] MFCC matrix of one clip.
+def mfcc(clip: AudioClip) -> np.ndarray:
+    """Extract the [n_frames, N_MFCC] MFCC matrix of one clip.
 
     The projection steps use einsum with a fixed summation order instead of
     BLAS so the output is bitwise identical regardless of thread count.
     """
-    if cfg.n_mfcc > cfg.n_mels:
-        raise ShapeError(f"n_mfcc ({cfg.n_mfcc}) exceeds n_mels ({cfg.n_mels})")
-    if clip.sample_rate != cfg.sample_rate:
-        raise ShapeError(
-            f"clip sample rate {clip.sample_rate} != config {cfg.sample_rate}"
-        )
+    if clip.sample_rate != SAMPLE_RATE:
+        raise ShapeError(f"clip sample rate {clip.sample_rate} != {SAMPLE_RATE}")
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyDataError(f"clip {clip.source_id!r} has no samples")
-    n_fr = num_frames(x.size, cfg)
+    n_fr = num_frames(x.size)
 
     # pre-emphasis; first sample passes through unchanged
     y = np.empty_like(x)
     y[0] = x[0]
-    y[1:] = x[1:] - cfg.preemphasis * x[:-1]
+    y[1:] = x[1:] - PREEMPHASIS * x[:-1]
 
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop_len * np.arange(n_fr)[:, None]
-    frames = y[idx] * hann_window(cfg.frame_len)[None, :]
+    idx = np.arange(FRAME_LEN)[None, :] + HOP_LEN * np.arange(n_fr)[:, None]
+    frames = y[idx] * HANN_WINDOW[None, :]
 
-    spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = spec.real**2 + spec.imag**2
 
-    fb = mel_filterbank(cfg)
-    mel_energy = np.einsum("fb,mb->fm", power, fb, optimize=False)
-    log_mel = np.log(np.maximum(mel_energy, cfg.log_floor))
+    mel_energy = np.einsum("fb,mb->fm", power, MEL_FILTERBANK, optimize=False)
+    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
 
-    dct = dct_matrix(cfg.n_mfcc, cfg.n_mels)
-    coeffs = np.einsum("fm,km->fk", log_mel, dct, optimize=False)
+    coeffs = np.einsum("fm,km->fk", log_mel, DCT_MATRIX, optimize=False)
     if not np.all(np.isfinite(coeffs)):
         raise ShapeError(f"non-finite MFCC output for clip {clip.source_id!r}")
     return coeffs
@@ -209,21 +172,13 @@ def read_wav(path, label: str = "", source_id: str = "") -> AudioClip:
     return AudioClip(samples, SAMPLE_RATE, label, source_id or str(path))
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
-    """Write samples in [-1, 1] as 16-bit PCM mono."""
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write samples in [-1, 1] as 16-bit PCM mono at SAMPLE_RATE."""
     x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
-
-def save_feature_csv(path, feat: np.ndarray) -> None:
-    """Golden-vector format: one CSV row per frame, full float precision."""
-    np.savetxt(path, feat, delimiter=",", fmt="%.17g")
-
-
-def load_feature_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

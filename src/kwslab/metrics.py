@@ -53,15 +53,6 @@ class AccuracyMatrix:
     def as_lists(self) -> list:
         return [[None if np.isnan(v) else float(v) for v in row] for row in self._m]
 
-    @classmethod
-    def from_lists(cls, rows: list) -> "AccuracyMatrix":
-        m = cls(len(rows))
-        for t, row in enumerate(rows):
-            for k, v in enumerate(row):
-                if v is not None:
-                    m._m[t, k] = v
-        return m
-
 
 def _as_array(matrix) -> np.ndarray:
     if isinstance(matrix, AccuracyMatrix):

@@ -183,6 +183,13 @@ class TcResNet8(Model):
 
 BASE_SUBNET_CHANNELS = (16, 48)
 
+# Widest layer a scaled sub-network may have. The width multiplier has no
+# natural ceiling, and a huge one would die in numpy allocating the layer,
+# after pretraining. 1024 channels is 21 times the base plan's widest layer;
+# the block's second conv then holds about a million weights (8 MB, of which
+# a training step keeps several copies).
+MAX_SUBNET_CHANNELS = 1024
+
 
 @dataclass(frozen=True)
 class ScalingConfig:
@@ -202,12 +209,22 @@ def width_multiplier(c_t: int, cfg: ScalingConfig) -> float:
     return cfg.mu * c_t / cfg.c0
 
 
-def scale_channels(alpha: float, base_channels: tuple[int, ...] = BASE_SUBNET_CHANNELS) -> tuple[int, ...]:
-    """Round-half-up width scaling, clamped below at one channel."""
+def widest_scaled_channels(alpha: float) -> float:
+    """Width of the widest layer scale_channels(alpha) builds (inf if it overflows)."""
+    return np.floor(alpha * max(BASE_SUBNET_CHANNELS) + 0.5)
+
+
+def scale_channels(alpha: float) -> tuple[int, ...]:
+    """Round-half-up scaling of BASE_SUBNET_CHANNELS, clamped below at one channel."""
     if not 0 < alpha < np.inf:
         raise ConfigError("pcl.alpha", f"must be finite and > 0, got {alpha}")
+    if widest_scaled_channels(alpha) > MAX_SUBNET_CHANNELS:
+        raise ConfigError(
+            "pcl.alpha",
+            f"{alpha:.4g} scales a sub-network layer above {MAX_SUBNET_CHANNELS} channels",
+        )
     scaled = []
-    for c in base_channels:
+    for c in BASE_SUBNET_CHANNELS:
         v = int(np.floor(alpha * c + 0.5))
         if v < 1:
             warnings.warn(

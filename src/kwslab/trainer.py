@@ -104,7 +104,7 @@ def _write_diagnostic(strategy: Strategy, out_dir: str | None, task_id: int) -> 
     os.makedirs(out_dir, exist_ok=True)
     items = strategy.checkpoint_items()
     if items:
-        ad.save_checkpoint(path, items[0][1], dtype="<f8", meta={"task": task_id, "reason": "nan"})
+        ad.save_checkpoint(path, items[0][1], meta={"task": task_id, "reason": "nan"})
         return path
     return None
 
@@ -168,8 +168,7 @@ def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int
     os.makedirs(ckpt_dir, exist_ok=True)
     for name, params in strategy.checkpoint_items():
         ad.save_checkpoint(
-            os.path.join(ckpt_dir, f"{name}.ckpt"), params, dtype="<f8",
-            meta={"task": task_id, "name": name},
+            os.path.join(ckpt_dir, f"{name}.ckpt"), params, meta={"task": task_id, "name": name}
         )
 
 

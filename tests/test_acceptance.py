@@ -266,11 +266,19 @@ def test_criterion_03_formula_exactness():
     assert metrics.acc(m) == (0.8 + 0.95) / 2
     assert metrics.la(m) == (0.9 + 0.95) / 2
     assert abs(metrics.bwt(m) - (0.8 - 0.9)) < 1e-15
-    flat = metrics.AccuracyMatrix.from_lists([[0.7], [0.7, 0.7], [0.7, 0.7, 0.7]])
+
+    def recorded(rows):
+        m = metrics.AccuracyMatrix(len(rows))
+        for t, row in enumerate(rows):
+            for k, v in enumerate(row):
+                m.record(t, k, v)
+        return m
+
+    flat = recorded([[0.7], [0.7, 0.7], [0.7, 0.7, 0.7]])
     assert metrics.bwt(flat) == 0.0
     rng = np.random.default_rng(33)
     rows = [[float(rng.uniform(0.2, 1.0)) for _ in range(t + 1)] for t in range(4)]
-    rand = metrics.AccuracyMatrix.from_lists(rows)
+    rand = recorded(rows)
     assert metrics.acc(rand) == pytest.approx(oracles.acc_loop(rows), rel=1e-12)
     assert metrics.la(rand) == pytest.approx(oracles.la_loop(rows), rel=1e-12)
     assert metrics.bwt(rand) == pytest.approx(oracles.bwt_loop(rows), rel=1e-12)

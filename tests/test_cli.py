@@ -232,8 +232,9 @@ def test_describe_subnet(capsys):
     assert "describe.alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
-def test_describe_rejects_a_nonfinite_or_nonpositive_alpha(capsys, alpha):
+# 1e300 is finite but scales a layer past models.MAX_SUBNET_CHANNELS
+@pytest.mark.parametrize("alpha", ["inf", "nan", "0", "1e300"])
+def test_describe_rejects_an_alpha_it_cannot_build(capsys, alpha):
     assert main(["describe", "--model", "subnet", "--classes", "3", "--alpha", alpha]) == 2
     assert "pcl.alpha" in capsys.readouterr().err
 

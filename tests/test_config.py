@@ -215,6 +215,9 @@ def test_range_checks_reject_outside_and_accept_the_edge(key, bad, good):
         # a dir stream checks its synth keys too
         ({"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 0},
          {"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 1}, "synth.clips"),
+        # the widest pcl sub-network layer: 48 * mu * keywords_per_task / pretrain_keywords
+        ({"pcl.mu": 1e300}, {"pcl.mu": 106.0}, "pcl.mu"),
+        ({"pcl.mu": 60.0, "stream.keywords_per_task": 6}, {"pcl.mu": 60.0}, "pcl.mu"),
     ],
 )
 def test_cross_key_rules(bad, good, field):
@@ -247,7 +250,9 @@ def test_float_keys_reject_nan_and_inf(key, text):
 
 @pytest.mark.parametrize(
     "key, raw",
-    [("sgd.epochs", 2.7), ("seed", True), ("sgd.lr", True), ("nr.xi", True), ("out_dir", False)],
+    [("sgd.epochs", 2.7), ("seed", True), ("sgd.lr", True), ("nr.xi", True), ("out_dir", False),
+     # a JSON null or list is no text either
+     ("stream.corpus_dir", None), ("out_dir", [1])],
 )
 def test_int_keys_reject_floats_and_bools_in_both_formats(tmp_path, key, raw):
     js = tmp_path / "run.json"

@@ -12,8 +12,6 @@ from conftest import GOLDEN_DIR
 from kwslab import dsp
 from kwslab.errors import EmptyDataError, ShapeError, WavFormatError
 
-CFG = dsp.FrontendConfig()
-
 
 def sine_clip(freq=1000.0, amp=0.5, n=16000):
     t = np.arange(n) / dsp.SAMPLE_RATE
@@ -28,13 +26,13 @@ def noise_clip(seed=42, amp=0.1, n=16000):
 
 def test_pad_or_trim_identity():
     clip = sine_clip(n=16000)
-    out = dsp.pad_or_trim(clip, 16000)
+    out = dsp.pad_or_trim(clip)
     assert np.array_equal(out.samples, clip.samples)
 
 
 def test_pad_or_trim_pads_tail_with_zeros():
     clip = sine_clip(n=12000)
-    out = dsp.pad_or_trim(clip, 16000)
+    out = dsp.pad_or_trim(clip)
     assert out.samples.size == 16000
     assert np.array_equal(out.samples[:12000], clip.samples)
     assert np.all(out.samples[12000:] == 0.0)
@@ -42,36 +40,34 @@ def test_pad_or_trim_pads_tail_with_zeros():
 
 def test_pad_or_trim_truncates():
     clip = sine_clip(n=20000)
-    out = dsp.pad_or_trim(clip, 16000)
+    out = dsp.pad_or_trim(clip)
     assert np.array_equal(out.samples, clip.samples[:16000])
 
 
-def test_pad_or_trim_rejects_empty_and_bad_target():
+def test_pad_or_trim_rejects_empty():
     with pytest.raises(EmptyDataError):
-        dsp.pad_or_trim(dsp.AudioClip(np.array([])), 16000)
-    with pytest.raises(ShapeError):
-        dsp.pad_or_trim(sine_clip(), 0)
+        dsp.pad_or_trim(dsp.AudioClip(np.array([])))
 
 
 # -- frame count -----------------------------------------------------------------
 
 def test_num_frames_closed_form():
-    assert dsp.num_frames(16000, CFG) == 98
-    assert dsp.num_frames(480, CFG) == 1
-    assert dsp.num_frames(639, CFG) == 1
-    assert dsp.num_frames(640, CFG) == 2
+    assert dsp.num_frames(16000) == 98
+    assert dsp.num_frames(480) == 1
+    assert dsp.num_frames(639) == 1
+    assert dsp.num_frames(640) == 2
 
 
 def test_num_frames_too_short():
     with pytest.raises(ShapeError):
-        dsp.num_frames(479, CFG)
+        dsp.num_frames(479)
 
 
 @given(st.integers(min_value=480, max_value=40000))
 def test_mfcc_shape_matches_closed_form(n):
     clip = dsp.AudioClip(np.linspace(-0.5, 0.5, n))
-    feat = dsp.mfcc(clip, CFG)
-    assert feat.shape == (dsp.num_frames(n, CFG), CFG.n_mfcc)
+    feat = dsp.mfcc(clip)
+    assert feat.shape == (dsp.num_frames(n), dsp.N_MFCC)
     assert np.all(np.isfinite(feat))
 
 
@@ -79,8 +75,8 @@ def test_mfcc_shape_matches_closed_form(n):
 
 def test_mfcc_all_zero_clip():
     # log(floor) in every band; orthonormal DCT of a constant hits only coeff 0
-    feat = dsp.mfcc(dsp.AudioClip(np.zeros(16000)), CFG)
-    expected_c0 = np.log(CFG.log_floor) * np.sqrt(CFG.n_mels)
+    feat = dsp.mfcc(dsp.AudioClip(np.zeros(16000)))
+    expected_c0 = np.log(dsp.LOG_FLOOR) * np.sqrt(dsp.N_MELS)
     assert np.allclose(feat[:, 0], expected_c0, rtol=1e-12)
     assert np.allclose(feat[:, 1:], 0.0, atol=1e-9)
 
@@ -91,7 +87,7 @@ def test_mfcc_all_zero_clip():
 )
 def test_mfcc_matches_golden(name, make):
     golden = np.loadtxt(os.path.join(GOLDEN_DIR, f"{name}.csv"), delimiter=",")
-    got = dsp.mfcc(make(), CFG)
+    got = dsp.mfcc(make())
     assert got.shape == golden.shape
     np.testing.assert_allclose(got, golden, atol=1e-8)
 
@@ -99,26 +95,25 @@ def test_mfcc_matches_golden(name, make):
 def test_mfcc_matches_naive_oracle_short_clip():
     # direct oracle comparison on a short clip, independent of the stored files
     sig = np.random.default_rng(7).uniform(-0.3, 0.3, 1600)
-    got = dsp.mfcc(dsp.AudioClip(sig), CFG)
+    got = dsp.mfcc(dsp.AudioClip(sig))
     ref = oracles.naive_mfcc(sig)
     np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
 def test_mfcc_sine_energy_lands_near_1khz():
-    feat = dsp.mfcc(sine_clip(), CFG)
-    fb = dsp.mel_filterbank(CFG)
-    bin_hz = np.arange(fb.shape[1]) * CFG.sample_rate / CFG.n_fft
+    feat = dsp.mfcc(sine_clip())
+    fb = dsp.MEL_FILTERBANK
+    bin_hz = np.arange(fb.shape[1]) * dsp.SAMPLE_RATE / dsp.N_FFT
     centers = (fb * bin_hz).sum(axis=1) / np.maximum(fb.sum(axis=1), 1e-12)
     # invert the DCT to recover log mel energies, find the hottest band
-    dct = dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels)
-    log_mel = feat[0] @ dct
+    log_mel = feat[0] @ dsp.DCT_MATRIX
     assert abs(centers[np.argmax(log_mel)] - 1000.0) < 200.0
 
 
 def test_mfcc_determinism_bitwise():
     clip = noise_clip(seed=3)
-    a = dsp.mfcc(clip, CFG)
-    b = dsp.mfcc(dsp.AudioClip(clip.samples.copy()), CFG)
+    a = dsp.mfcc(clip)
+    b = dsp.mfcc(dsp.AudioClip(clip.samples.copy()))
     assert a.tobytes() == b.tobytes()
 
 
@@ -127,42 +122,37 @@ def test_mfcc_scaling_shifts_only_coefficient_zero():
     # broadband noise) -> orthonormal DCT maps the constant shift to coeff 0
     clip = noise_clip(seed=5, amp=0.1)
     c = 2.0
-    base = dsp.mfcc(clip, CFG)
-    scaled = dsp.mfcc(dsp.AudioClip(clip.samples * c), CFG)
+    base = dsp.mfcc(clip)
+    scaled = dsp.mfcc(dsp.AudioClip(clip.samples * c))
     diff = scaled - base
-    np.testing.assert_allclose(diff[:, 0], 2.0 * np.log(c) * np.sqrt(CFG.n_mels), rtol=1e-9)
+    np.testing.assert_allclose(diff[:, 0], 2.0 * np.log(c) * np.sqrt(dsp.N_MELS), rtol=1e-9)
     np.testing.assert_allclose(diff[:, 1:], 0.0, atol=1e-9)
 
 
-def test_mfcc_rejects_bad_config_and_input():
+def test_mfcc_rejects_bad_input():
     with pytest.raises(ShapeError):
-        dsp.mfcc(sine_clip(), dsp.FrontendConfig(n_mfcc=41, n_mels=40))
+        dsp.mfcc(dsp.AudioClip(np.zeros(100)))  # shorter than one frame
     with pytest.raises(ShapeError):
-        dsp.mfcc(dsp.AudioClip(np.zeros(100)), CFG)  # shorter than one frame
-    with pytest.raises(ShapeError):
-        dsp.mfcc(dsp.AudioClip(np.zeros(16000), sample_rate=8000), CFG)
+        dsp.mfcc(dsp.AudioClip(np.zeros(16000), sample_rate=8000))
     with pytest.raises(EmptyDataError):
-        dsp.mfcc(dsp.AudioClip(np.array([])), CFG)
+        dsp.mfcc(dsp.AudioClip(np.array([])))
 
 
 def test_dct_matrix_is_orthonormal():
-    mat = dsp.dct_matrix(40, 40)
+    mat = dsp.DCT_MATRIX
     np.testing.assert_allclose(mat @ mat.T, np.eye(40), atol=1e-12)
 
 
-def test_frontend_tables_are_memoised_and_read_only():
-    fb = dsp.mel_filterbank(CFG)
-    assert dsp.mel_filterbank(dsp.FrontendConfig()) is fb
-    assert dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels) is dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels)
-    for table in (fb, dsp.dct_matrix(CFG.n_mfcc, CFG.n_mels), dsp.hann_window(CFG.frame_len)):
+def test_frontend_tables_are_read_only():
+    for table in (dsp.MEL_FILTERBANK, dsp.DCT_MATRIX, dsp.HANN_WINDOW):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
 
 
 def test_mel_filterbank_covers_band():
-    fb = dsp.mel_filterbank(CFG)
-    assert fb.shape == (40, CFG.n_fft // 2 + 1)
+    fb = dsp.MEL_FILTERBANK
+    assert fb.shape == (40, dsp.N_FFT // 2 + 1)
     assert np.all(fb >= 0.0)
     assert np.all(fb.max(axis=1) > 0.0)
 
@@ -208,10 +198,3 @@ def test_read_wav_rejects_wrong_formats(tmp_path):
     with pytest.raises(WavFormatError):
         dsp.read_wav(not_wav)
 
-
-def test_feature_csv_round_trip(tmp_path):
-    feat = dsp.mfcc(noise_clip(seed=9), CFG)
-    path = tmp_path / "feat.csv"
-    dsp.save_feature_csv(path, feat)
-    back = dsp.load_feature_csv(path)
-    np.testing.assert_array_equal(back, feat)

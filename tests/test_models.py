@@ -10,6 +10,8 @@ from kwslab import models
 from kwslab.autodiff import Tensor
 from kwslab.errors import ConfigError, ShapeError
 from kwslab.models import (
+    BASE_SUBNET_CHANNELS,
+    MAX_SUBNET_CHANNELS,
     ScalingConfig,
     SubNet,
     TcResNet8,
@@ -116,6 +118,15 @@ def test_scale_channels_rounding():
     assert scale_channels(0.5) == (8, 24)
     # round half up: 0.65625 * 16 = 10.5 -> 11
     assert scale_channels(0.65625) == (11, 32)
+
+
+def test_scale_channels_bounds_the_widest_layer():
+    widest = max(BASE_SUBNET_CHANNELS)
+    assert scale_channels(MAX_SUBNET_CHANNELS / widest)[-1] == MAX_SUBNET_CHANNELS
+    for alpha in ((MAX_SUBNET_CHANNELS + 1) / widest, 1e300):
+        with pytest.raises(ConfigError) as err:
+            scale_channels(alpha)
+        assert err.value.field == "pcl.alpha"
 
 
 def test_scale_channels_clamps_with_warning():

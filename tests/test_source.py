@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -93,3 +94,107 @@ def test_checker_flags_unread_config_keys():
 def test_every_config_key_is_read_outside_config():
     sources = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p.name != "config.py"]
     assert unread_config_keys(sources) == []
+
+
+# Public names no code in the package reads, each kept for a reason.
+SURFACE_ALLOWED = {
+    "reports_equivalent": "testing API: report equality up to timings; perfbench imports it",
+    "square": "criterion-1 gradient suite: an op the gradcheck tests compose losses from",
+    "tensor_sum": "criterion-1 gradient suite: reduces an op's output to a scalar loss",
+    "scale": "criterion-1 gradient suite: the constant-factor op",
+    "TaskStream.load_manifest": "resume (ROADMAP item 8) reloads a run's stream.json",
+    "load_checkpoint": "resume (ROADMAP item 8) reads the per-task checkpoints",
+    "restore_into": "resume (ROADMAP item 8) copies checkpoint values into a model",
+    "ParameterVector.set_grad_vector": "perfbench/tracer.py counts it in COPY_METHODS",
+}
+
+
+def global_reads(node) -> collections.Counter:
+    """Names read under `node`: `x.name` attributes, and bare names that no
+    enclosing function binds (an argument or an assignment shadows a global)."""
+    reads = collections.Counter()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            local = local | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            local |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+            local |= {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(node, frozenset())
+    return reads
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_public_names(sources: list[str]) -> list[str]:
+    """Public definitions read nowhere outside their own body and not in any `__all__`."""
+    trees = [ast.parse(s) for s in sources]
+    reads = sum((global_reads(t) for t in trees), collections.Counter())
+    exported = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+    return sorted(
+        qualname
+        for tree in trees
+        for qualname, node in public_definitions(tree)
+        if node.name not in exported and reads[node.name] <= global_reads(node)[node.name]
+    )
+
+
+def test_checker_flags_unread_public_names():
+    lib = (
+        "def used(x):\n    return helper(x)\n"
+        "def helper(helper):\n    return helper\n"  # its argument shadows it
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def exported():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Box:\n    def get(self):\n        return self.put()\n"
+        "    def put(self):\n        pass\n"
+        "__all__ = ['exported']\n"
+    )
+    assert unread_public_names([lib, "used(1)\n"]) == ["Box", "Box.get", "recursive"]
+
+
+@pytest.fixture(scope="module")
+def package_sources():
+    return [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+
+
+def test_checker_flags_a_readded_test_only_function(package_sources):
+    dsp = SRC / "dsp.py"
+    readded = dsp.read_text(encoding="utf-8") + (
+        "\n\ndef save_feature_csv(path, feat):\n"
+        "    np.savetxt(path, feat, delimiter=\",\", fmt=\"%.17g\")\n"
+    )
+    sources = [readded if p == dsp else p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert "save_feature_csv" in unread_public_names(sources)
+    assert "save_feature_csv" not in unread_public_names(package_sources)
+
+
+def test_every_public_name_is_read_exported_or_allowed(package_sources):
+    """The allow-list is exact: a name that gains a caller leaves it."""
+    assert unread_public_names(package_sources) == sorted(SURFACE_ALLOWED)
