@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
@@ -25,7 +26,7 @@ from .models import (
     describe_text,
     scale_channels,
 )
-from .taskstream import TaskStream, materialize_synth
+from .taskstream import materialize_synth
 from .trainer import FeatureCache, build_stream_from_config, stream_fingerprint
 from .trainer import run as run_training
 
@@ -54,60 +55,67 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(cfg: RunConfig, features: FeatureCache | None = None) -> tuple[RunReport, float]:
+# The features of the last stream this process ran a sweep config on, under
+# the key (seed, stream config) that fixes the stream. A pool process gets
+# only the config, so the cache lives at module level. A sweep runs each
+# stream's configs back to back, so a process extracts a stream once per
+# switch to it and holds one stream's features at a time.
+_stream_features: dict[tuple, FeatureCache] = {}
+
+
+def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
+    """Run one sweep config, in-process or in a pool worker. A failed run
+    returns its error as text, which pickles whatever the error holds."""
     t0 = time.perf_counter()
-    report = run_training(cfg, features=features)
-    return report, time.perf_counter() - t0
+    key = (cfg.seed, cfg.stream)
+    try:
+        if key not in _stream_features:
+            _stream_features.clear()
+            _stream_features[key] = FeatureCache(build_stream_from_config(cfg))
+        result = run_training(cfg, features=_stream_features[key])
+    except (KwslabError, OSError) as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    return result, time.perf_counter() - t0
 
 
-def _print_progress(report: RunReport, seconds: float) -> None:
-    print(f"{report.strategy} seed={report.seed}: ACC={report.acc:.4f} "
-          f"wall={seconds:.1f}s", flush=True)
-
-
-StreamGroups = dict[str, tuple[TaskStream, list[int]]]
-
-
-def _group_by_stream(cfgs: list[RunConfig]) -> StreamGroups:
-    """Indices into `cfgs` per stream fingerprint, with the stream they build."""
-    groups: StreamGroups = {}
-    for i, cfg in enumerate(cfgs):
-        stream = build_stream_from_config(cfg)
-        groups.setdefault(stream_fingerprint(stream), (stream, []))[1].append(i)
-    return groups
-
-
-def _require_one_stream_per_seed(cfgs: list[RunConfig], groups: StreamGroups) -> None:
+def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
     """A comparison needs every run of a seed on one stream; say so before
     any run trains rather than after all of them."""
     stream_of_seed: dict[int, str] = {}
-    for fingerprint, (_, indices) in groups.items():
-        for i in indices:
-            seed = cfgs[i].seed
-            if stream_of_seed.setdefault(seed, fingerprint) != fingerprint:
-                raise ConfigError(
-                    "sweep.strategies",
-                    f"runs of seed {seed} would train on different streams; "
-                    "stream keys belong in the manifest base",
-                )
+    for cfg in cfgs:
+        fingerprint = stream_fingerprint(build_stream_from_config(cfg))
+        if stream_of_seed.setdefault(cfg.seed, fingerprint) != fingerprint:
+            raise ConfigError(
+                "sweep.strategies",
+                f"runs of seed {cfg.seed} would train on different streams; "
+                "stream keys belong in the manifest base",
+            )
 
 
-def _run_grouped_by_stream(cfgs: list[RunConfig], groups: StreamGroups) -> list[RunReport]:
-    """Run configs one stream at a time, sharing one feature cache per stream.
-
-    Only the current stream's cache is alive, so peak memory stays that of
-    one run. Results come back in the order of `cfgs`.
-    """
-    reports: list[RunReport | None] = [None] * len(cfgs)
-    for stream, indices in groups.values():
-        features = FeatureCache(stream)
-        for i in indices:
-            reports[i], seconds = _sweep_worker(cfgs[i], features)
-            _print_progress(reports[i], seconds)
-    return reports
+def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[dict]]:
+    """Run `cfgs` in order through `_sweep_worker`, in this process or over
+    `jobs` processes, with one progress line per run. Returns the finished
+    runs' reports and an entry per failed run."""
+    reports, failed = [], []
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            results = pool.map(_sweep_worker, cfgs) if pool else map(_sweep_worker, cfgs)
+            for cfg, (result, seconds) in zip(cfgs, results):
+                head = f"{cfg.strategy} seed={cfg.seed}:"
+                if isinstance(result, str):
+                    print(f"{head} FAILED wall={seconds:.1f}s {result}", flush=True)
+                    failed.append({"strategy": cfg.strategy, "seed": cfg.seed, "error": result})
+                else:
+                    print(f"{head} ACC={result.acc:.4f} wall={seconds:.1f}s", flush=True)
+                    reports.append(result)
+    finally:
+        _stream_features.clear()
+    return reports, failed
 
 
 def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
+    """One config per (seed, strategy entry), seed by seed: the runs of a
+    seed share one stream, so each stream's runs come back to back."""
     base = dict(manifest.get("base", {}))
     strategies = manifest.get("strategies")
     if not strategies:
@@ -116,7 +124,7 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
     if not seeds:
         raise ConfigError("sweep.seeds", "manifest needs at least one seed")
 
-    cfgs = []
+    entries = []
     for entry in strategies:
         if isinstance(entry, str):
             overrides = {"strategy": normalize_strategy(entry)}
@@ -127,30 +135,41 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
             overrides["strategy"] = normalize_strategy(overrides["strategy"])
         else:
             raise ConfigError("sweep.strategies", f"entry must be a name or mapping: {entry!r}")
-        for seed in seeds:
+        entries.append(overrides)
+    cfgs = []
+    for seed in seeds:
+        for overrides in entries:
             cfg = config_from_mapping({**base, **overrides, "seed": seed})
             cfgs.append(replace(cfg, out_dir=_run_dir(out_root, cfg)))
     return cfgs
 
 
+def _load_manifest(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(path, f"not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(path, "a sweep manifest must be a JSON object")
+    for key, kind, name in (("base", dict, "an object"), ("strategies", list, "a list"),
+                            ("seeds", list, "a list"), ("out_dir", str, "a string")):
+        if key in manifest and not isinstance(manifest[key], kind):
+            raise ConfigError(f"sweep.{key}", f"must be {name}, got {manifest[key]!r}")
+    return manifest
+
+
 def cmd_sweep(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
+    manifest = _load_manifest(args.manifest)
     out_root = _out_root(args.out or manifest.get("out_dir"))
     cfgs = _sweep_configs(manifest, out_root)
-    groups = _group_by_stream(cfgs)
-    _require_one_stream_per_seed(cfgs, groups)
-
-    if args.jobs > 1:
-        # each worker process extracts the features of its own runs
-        reports = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for report, seconds in pool.map(_sweep_worker, cfgs):
-                _print_progress(report, seconds)
-                reports.append(report)
-    else:
-        reports = _run_grouped_by_stream(cfgs, groups)
-    comparison = compare_by_seed(reports)
+    _require_one_stream_per_seed(cfgs)
+    reports, failed = _run_sweep(cfgs, args.jobs)
+    if not reports:
+        raise KwslabError(f"all {len(cfgs)} runs failed; no comparison written")
+    comparison = {**compare_by_seed(reports), "failed": failed}
 
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "comparison.json"), "w", encoding="utf-8") as fh:
@@ -161,6 +180,10 @@ def cmd_sweep(args) -> int:
 
     print(render_table(comparison["aggregate"]))
     print(f"\n{len(reports)} runs; outputs under {out_root}")
+    if failed:
+        raise KwslabError(
+            f"{len(failed)} of {len(cfgs)} runs failed; comparison.json lists them under 'failed'"
+        )
     return 0
 
 

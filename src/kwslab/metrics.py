@@ -142,11 +142,13 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunReport":
-        if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise MetricsError(
-                f"unsupported report schema {doc.get('schema_version')!r}"
-            )
-        return cls(**doc)
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if version != REPORT_SCHEMA_VERSION:
+            raise MetricsError(f"unsupported report schema {version!r}")
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # a missing or an unknown field
+            raise MetricsError(f"fields do not match report schema {version}: {exc}") from None
 
 
 def reports_equivalent(a: RunReport, b: RunReport) -> bool:
@@ -207,8 +209,13 @@ def load_report(path) -> RunReport:
     path = os.fspath(path)
     if os.path.isdir(path):
         path = os.path.join(path, REPORT_FILENAME)
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunReport.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return RunReport.from_dict(json.load(fh))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MetricsError(f"{path}: not a JSON report: {exc}") from None
+    except MetricsError as exc:
+        raise MetricsError(f"{path}: {exc}") from None
 
 
 # -- comparisons -------------------------------------------------------------

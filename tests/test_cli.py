@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,11 +9,11 @@ from collections import Counter
 import pytest
 
 from kwslab import cli, trainer
-from kwslab.cli import _group_by_stream, _run_grouped_by_stream, _sweep_configs, main
-from kwslab.errors import ConfigError
+from kwslab.cli import _run_sweep, _sweep_configs, main
+from kwslab.errors import ConfigError, NanLossError
 from kwslab.metrics import load_report, reports_equivalent
 
-from conftest import MICRO_FLAT
+from conftest import MICRO_FLAT, micro_config
 
 
 def write_micro_config(path, strategy="finetune", **extra):
@@ -124,17 +125,21 @@ def test_sweep_and_report(tmp_path, capsys):
 def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     """Runs on one stream share its features; a stream key override and a
     second seed each make a new stream. Reports match separate runs, in
-    manifest order, with one progress line per run.
+    run order, with one progress line per run.
 
     The runner is called directly: a comparison needs every run of a seed on
-    one stream, so `kwslab sweep` rejects this manifest before training.
+    one stream, so `kwslab sweep` rejects this manifest before training. The
+    runs of a stream are put back to back, as `kwslab sweep` does.
     """
     manifest = {
         "base": dict(MICRO_FLAT),
         "strategies": ["finetune", {"strategy": "nr", "synth.clips": 8}, "si"],
         "seeds": [0, 1],
     }
-    cfgs = _sweep_configs(manifest, str(tmp_path))
+    cfgs = sorted(
+        _sweep_configs(manifest, str(tmp_path)),
+        key=lambda cfg: trainer.stream_fingerprint(trainer.build_stream_from_config(cfg)),
+    )
 
     extracted = Counter()
     real_mfcc = trainer.mfcc
@@ -144,8 +149,9 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         return real_mfcc(clip, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
-    shared = _run_grouped_by_stream(cfgs, _group_by_stream(cfgs))
+    shared, failed = _run_sweep(cfgs, jobs=1)
     monkeypatch.undo()
+    assert failed == []
     out = capsys.readouterr().out
 
     streams = {}
@@ -187,6 +193,129 @@ def test_sweep_rejects_split_streams_before_training(tmp_path, capsys, monkeypat
     assert not root.exists()
 
 
+def write_sweep(tmp_path, strategies, seeds=(0,)):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        {"base": dict(MICRO_FLAT), "strategies": strategies, "seeds": list(seeds)}))
+    return path
+
+
+def test_sweep_lists_failed_runs_and_finishes_the_rest(tmp_path, capsys, monkeypatch):
+    path = write_sweep(tmp_path, ["finetune", "ewc", "nr"], seeds=(0, 1))
+    real_run = cli.run_training
+
+    def run(cfg, features=None):
+        if cfg.strategy == "ewc":
+            raise NanLossError(f"non-finite loss on task 1 epoch 0 of seed {cfg.seed}")
+        return real_run(cfg, features=features)
+
+    monkeypatch.setattr(cli, "run_training", run)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: KwslabError: 2 of 6 runs failed; comparison.json lists them under 'failed'\n"
+    )
+    assert cli._stream_features == {}
+
+    progress = [line for line in captured.out.splitlines() if " wall=" in line]
+    assert [line.split(":")[0] for line in progress] == [
+        f"{strategy} seed={seed}" for seed in (0, 1) for strategy in ("finetune", "ewc", "nr")
+    ]
+    assert progress[1].startswith("ewc seed=0: FAILED wall=")
+    assert progress[1].endswith("NanLossError: non-finite loss on task 1 epoch 0 of seed 0")
+
+    doc = json.loads((root / "comparison.json").read_text())
+    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
+    assert doc["failed"] == [
+        {"strategy": "ewc", "seed": seed,
+         "error": f"NanLossError: non-finite loss on task 1 epoch 0 of seed {seed}"}
+        for seed in (0, 1)
+    ]
+    assert len((root / "comparison.csv").read_text().strip().splitlines()) == 3
+    assert (root / "nr_seed1" / "report.json").exists()
+    assert not (root / "ewc_seed0").exists()
+
+
+def test_sweep_without_a_finished_run_writes_no_comparison(tmp_path, capsys, monkeypatch):
+    path = write_sweep(tmp_path, ["finetune", "nr"])
+
+    def run(cfg, features=None):
+        raise NanLossError("non-finite loss")
+
+    monkeypatch.setattr(cli, "run_training", run)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: KwslabError: all 2 runs failed; no comparison written\n"
+    assert captured.out.count(": FAILED wall=") == 2
+    assert not root.exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched mfcc only when forked")
+def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
+    """At --jobs 2 one of three runs shares a worker with another; that
+    worker reuses the stream's features instead of extracting them again."""
+    path = write_sweep(tmp_path, ["finetune", "nr", "si"])
+    log = tmp_path / "extracted.log"
+    real_mfcc = trainer.mfcc
+
+    def logging_mfcc(clip, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {clip.source_id}\n")
+        return real_mfcc(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", logging_mfcc)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
+    assert progress == ["finetune seed=0", "nr seed=0", "si seed=0"]
+
+    extracted = Counter(log.read_text(encoding="utf-8").splitlines())
+    assert max(extracted.values()) == 1
+    assert str(os.getpid()) not in {line.split()[0] for line in extracted}
+    stream = trainer.build_stream_from_config(micro_config())
+    clips = {ref.uri for task in stream.tasks for ref in (*task.train, *task.test)}
+    assert {line.split()[1] for line in extracted} == clips
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    path = write_sweep(tmp_path, ["finetune"])
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: --jobs: must be at least 1, got {jobs}\n"
+    assert trained == []
+    assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"strategies": ["finetune"]', "sweep.json"),
+        ('["finetune"]', "sweep.json"),
+        ('{"strategies": ["finetune"], "seeds": 3}', "sweep.seeds"),
+        ('{"strategies": ["finetune"], "base": [1, 2]}', "sweep.base"),
+        ('{"strategies": "finetune"}', "sweep.strategies"),
+        ('{"strategies": ["finetune"], "out_dir": 5}', "sweep.out_dir"),
+    ],
+    ids=["syntax", "list", "int-seeds", "list-base", "str-strategies", "int-out-dir"],
+)
+def test_sweep_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
+    path = tmp_path / "sweep.json"
+    path.write_text(text)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and field in err
+    assert len(err.splitlines()) == 1
+    assert not root.exists()
+
+
 def test_sweep_rejects_empty_manifest(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"base": {}, "strategies": []}))
@@ -198,6 +327,26 @@ def test_report_without_reports(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["report", "--dir", str(tmp_path / "empty")]) == 2
     assert "no report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["truncated", "missing-field", "unknown-field"])
+def test_report_names_a_malformed_report(tmp_path, capsys, micro_run, fault):
+    doc = micro_run("finetune")[0].to_dict()
+    text = json.dumps(doc)
+    if fault == "truncated":
+        text = text[: len(text) // 2]
+    elif fault == "missing-field":
+        del doc["acc"]
+        text = json.dumps(doc)
+    else:
+        text = json.dumps({**doc, "accuracy": 1.0})
+    path = tmp_path / "runs" / "finetune_seed0" / "report.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert main(["report", "--dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MetricsError: {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_synth_command(tmp_path, capsys):
