@@ -24,6 +24,7 @@ from .errors import (
     NonScalarLossError,
     ShapeError,
 )
+from .fileio import replace_on_success
 
 CHECKPOINT_MAGIC = b"KWSLABCP"
 CHECKPOINT_VERSION = 1
@@ -534,7 +535,7 @@ def checkpoint_bytes(params: ParameterVector, meta: dict | None = None) -> bytes
 
 
 def save_checkpoint(path, params: ParameterVector, meta: dict | None = None):
-    with open(path, "wb") as fh:
+    with replace_on_success(path, "wb") as fh:
         fh.write(checkpoint_bytes(params, meta=meta))
 
 

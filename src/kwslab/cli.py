@@ -46,9 +46,10 @@ def cmd_run(args) -> int:
     if not cfg.out_dir:
         cfg = replace(cfg, out_dir=_run_dir(_out_root(args.out), cfg))
     report = run_training(cfg)
+    bwt = "-" if report.bwt is None else f"{report.bwt:+.4f}"  # no earlier task
     print(
         f"{report.strategy} seed={report.seed}: "
-        f"ACC={report.acc:.4f} LA={report.la:.4f} BWT={report.bwt:+.4f} "
+        f"ACC={report.acc:.4f} LA={report.la:.4f} BWT={bwt} "
         f"extra_params={report.extra_params} buffer_bytes={report.buffer_bytes}"
     )
     print(f"report written to {cfg.out_dir}")
@@ -124,7 +125,7 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
     if not seeds:
         raise ConfigError("sweep.seeds", "manifest needs at least one seed")
 
-    entries = []
+    entries, entry_of = [], {}
     for entry in strategies:
         if isinstance(entry, str):
             overrides = {"strategy": normalize_strategy(entry)}
@@ -135,6 +136,14 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
             overrides["strategy"] = normalize_strategy(overrides["strategy"])
         else:
             raise ConfigError("sweep.strategies", f"entry must be a name or mapping: {entry!r}")
+        name = overrides["strategy"]
+        if name in entry_of:  # both would write <strategy>_seed<n> and share a table row
+            raise ConfigError(
+                "sweep.strategies",
+                f"entries {entry_of[name]!r} and {entry!r} both run strategy {name!r}; "
+                "a sweep runs each strategy once",
+            )
+        entry_of[name] = entry
         entries.append(overrides)
     cfgs = []
     for seed in seeds:

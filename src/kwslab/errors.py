@@ -59,4 +59,6 @@ class CheckpointError(KwslabError):
 
 
 class MetricsError(KwslabError):
-    """Accuracy matrix misuse: out-of-range cell, rewrite, or missing data."""
+    """A metric or report cannot be derived: a final-row or diagonal cell of
+    the accuracy matrix is missing, there is no task or report to average, or
+    a report file is malformed."""

@@ -1,8 +1,9 @@
-"""Accuracy matrix, summary metrics, and report files.
+"""Summary metrics, run reports, and report files.
 
 R[t][k] is the test accuracy on task k measured right after finishing task t
-(task 0 is the pretraining task). All summary metrics are pure functions of
-the matrix:
+(task 0 is the pretraining task). All summary metrics, and every derived
+field of a run report, are pure functions of the matrix and the run's
+per-task and per-epoch rows:
 
     ACC = mean_k R[T][k]          (average over all tasks at the end)
     LA  = mean_t R[t][t]          (each task right after learning it)
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MetricsError
+from .fileio import replace_on_success
 
 REPORT_SCHEMA_VERSION = 2
 REPORT_FILENAME = "report.json"
@@ -29,88 +31,36 @@ REPORT_FILENAME = "report.json"
 _TIMING_KEYS = ("epoch_seconds", "tt_mean_epoch_seconds")
 
 
-class AccuracyMatrix:
-    """Write-once lower-triangular accuracy store."""
-
-    def __init__(self, n_tasks_total: int):
-        if n_tasks_total < 1:
-            raise MetricsError(f"need at least one task, got {n_tasks_total}")
-        self.n = n_tasks_total
-        self._m = np.full((self.n, self.n), np.nan)
-
-    def record(self, t: int, k: int, value: float) -> None:
-        if not (0 <= k <= t < self.n):
-            raise MetricsError(f"cell ({t}, {k}) outside lower triangle of {self.n} tasks")
-        if not 0.0 <= value <= 1.0:
-            raise MetricsError(f"accuracy {value} outside [0, 1]")
-        if not np.isnan(self._m[t, k]):
-            raise MetricsError(f"cell ({t}, {k}) already written")
-        self._m[t, k] = value
-
-    def array(self) -> np.ndarray:
-        return self._m.copy()
-
-    def as_lists(self) -> list:
-        return [[None if np.isnan(v) else float(v) for v in row] for row in self._m]
-
-
-def _as_array(matrix) -> np.ndarray:
-    if isinstance(matrix, AccuracyMatrix):
-        return matrix.array()
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def _require(m: np.ndarray, cells) -> None:
-    for t, k in cells:
-        if np.isnan(m[t, k]):
-            raise MetricsError(f"cell ({t}, {k}) not populated")
+def summary(matrix, include_pretrain: bool = True) -> dict:
+    """ACC, LA and BWT of a lower-triangular accuracy matrix (lists or an
+    array, None or NaN above the diagonal). Without pretraining, row and
+    column 0 are left out. "bwt" is None when no earlier task exists; a
+    missing final-row or diagonal cell, or no task to average, is a
+    `MetricsError`."""
+    m = np.array(matrix, dtype=np.float64)
+    lo = 0 if include_pretrain else 1
+    final, diag = m[-1, lo:], np.diagonal(m)[lo:]
+    if final.size == 0:
+        raise MetricsError("no tasks to average")
+    if np.isnan(final).any() or np.isnan(diag).any():
+        raise MetricsError("final row or diagonal of the accuracy matrix not populated")
+    return {
+        "acc": float(np.mean(final)),
+        "la": float(np.mean(diag)),
+        "bwt": float(np.mean(final[:-1] - diag[:-1])) if final.size > 1 else None,
+    }
 
 
 def acc(matrix, include_pretrain: bool = True) -> float:
-    m = _as_array(matrix)
-    T = m.shape[0] - 1
-    lo = 0 if include_pretrain else 1
-    ks = list(range(lo, T + 1))
-    if not ks:
-        raise MetricsError("no tasks to average")
-    _require(m, [(T, k) for k in ks])
-    return float(np.mean([m[T, k] for k in ks]))
+    return summary(matrix, include_pretrain)["acc"]
 
 
 def la(matrix, include_pretrain: bool = True) -> float:
-    m = _as_array(matrix)
-    T = m.shape[0] - 1
-    lo = 0 if include_pretrain else 1
-    ts = list(range(lo, T + 1))
-    if not ts:
-        raise MetricsError("no tasks to average")
-    _require(m, [(t, t) for t in ts])
-    return float(np.mean([m[t, t] for t in ts]))
+    return summary(matrix, include_pretrain)["la"]
 
 
-def bwt(matrix, include_pretrain: bool = True) -> float:
-    m = _as_array(matrix)
-    T = m.shape[0] - 1
-    lo = 0 if include_pretrain else 1
-    ks = list(range(lo, T))
-    if not ks:
-        raise MetricsError("backward transfer needs at least one earlier task")
-    _require(m, [(T, k) for k in ks] + [(k, k) for k in ks])
-    return float(np.mean([m[T, k] - m[k, k] for k in ks]))
-
-
-def summary_metrics(matrix) -> dict:
-    """Both averaging conventions; entries are None where undefined."""
-    out = {}
-    for label, flag in (("incl_pretrain", True), ("excl_pretrain", False)):
-        entry = {}
-        for name, fn in (("acc", acc), ("la", la), ("bwt", bwt)):
-            try:
-                entry[name] = fn(matrix, include_pretrain=flag)
-            except MetricsError:
-                entry[name] = None
-        out[label] = entry
-    return out
+def bwt(matrix, include_pretrain: bool = True) -> float | None:
+    return summary(matrix, include_pretrain)["bwt"]
 
 
 @dataclass
@@ -122,7 +72,7 @@ class RunReport:
     matrix: list  # lower-triangular lists, None above the diagonal
     acc: float
     la: float
-    bwt: float
+    bwt: float | None
     # both averaging conventions, regardless of which one is the headline
     metrics_incl_pretrain: dict = field(default_factory=dict)
     metrics_excl_pretrain: dict = field(default_factory=dict)
@@ -151,6 +101,29 @@ class RunReport:
             raise MetricsError(f"fields do not match report schema {version}: {exc}") from None
 
 
+def build_report(R: np.ndarray, include_pretrain: bool, extra_params_by_task: list,
+                 epoch_seconds: list, **measured) -> RunReport:
+    """The report of a finished run. `R` is its accuracy matrix (NaN above the
+    diagonal); `measured` holds the fields a run records as they are
+    (strategy, seed, hashes, buffer_bytes, training_log, extras, config_flat).
+    The headline follows `include_pretrain`; both conventions, the
+    per-task mean accuracy, the final extra parameters and the mean epoch
+    time are derived here."""
+    incl, excl = summary(R, True), summary(R, False)
+    return RunReport(
+        matrix=[[None if np.isnan(v) else float(v) for v in row] for row in R],
+        **(incl if include_pretrain else excl),
+        metrics_incl_pretrain=incl,
+        metrics_excl_pretrain=excl,
+        extra_params=extra_params_by_task[-1],
+        acc_by_task=[float(np.mean(R[t, : t + 1])) for t in range(len(R))],
+        extra_params_by_task=extra_params_by_task,
+        epoch_seconds=epoch_seconds,
+        tt_mean_epoch_seconds=float(np.mean(epoch_seconds)) if epoch_seconds else 0.0,
+        **measured,
+    )
+
+
 def reports_equivalent(a: RunReport, b: RunReport) -> bool:
     """Equality up to wall-clock timing fields."""
     da, db = a.to_dict(), b.to_dict()
@@ -174,7 +147,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
 
     path = os.path.join(out_dir, REPORT_FILENAME)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

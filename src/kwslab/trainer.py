@@ -9,13 +9,15 @@ strategy hooks wired into every step:
     delta = Sgd.step(g)
     post_step(g_kws, delta)               (path-integral accounting)
 
-After each task the strategy consolidates, every learned task is evaluated
-with eval-mode batch norm, and the accuracy matrix row is written exactly
-once. The `FeatureCache` holds every clip's features before the first task,
-so `epoch_seconds` covers training only. A run is single-threaded end
-to end and bit-reproducible for a fixed config at a fixed BLAS thread count;
-only wall-clock timings differ between repeats. A different thread count may
-change how BLAS sums a GEMM, and with it the last bits of the numbers.
+After each task the strategy consolidates, and every learned task is
+evaluated with eval-mode batch norm into that task's row of the accuracy
+matrix R. `metrics.build_report` derives every summary field from R and the
+rows the run records. The `FeatureCache` holds every clip's features before
+the first task, so `epoch_seconds` covers training only. A run is
+single-threaded end to end and bit-reproducible for a fixed config at a
+fixed BLAS thread count; only wall-clock timings differ between repeats. A
+different thread count may change how BLAS sums a GEMM, and with it the last
+bits of the numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .autodiff import Sgd
 from .config import RunConfig, config_hash, config_to_flat
 from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
-from .metrics import AccuracyMatrix, RunReport, emit_report, summary_metrics
+from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
 from .strategies import Strategy, TrainContext, make_strategy
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
@@ -187,8 +189,8 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     ctx = TrainContext(cfg=cfg, stream=stream, features=features)
     strategy = make_strategy(ctx)
 
-    matrix = AccuracyMatrix(len(stream.tasks))
-    acc_by_task: list[float] = []
+    n = len(stream.tasks)
+    R = np.full((n, n), np.nan)
     extra_params_by_task: list[int] = []
     training_log: list = []
     epoch_seconds: list[float] = []
@@ -198,37 +200,26 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
         stream.save_manifest(os.path.join(cfg.out_dir, "stream.json"))
 
     for task in stream.tasks:
+        t = task.task_id
         _train_task(cfg, ctx, strategy, task, training_log, epoch_seconds)
         strategy.after_task(task)
-        row = []
-        for k in range(task.task_id + 1):
-            a = evaluate(strategy.eval_logits(k), stream.task(k), ctx)
-            matrix.record(task.task_id, k, a)
-            row.append(a)
-        acc_by_task.append(float(np.mean(row)))
+        R[t, : t + 1] = [
+            evaluate(strategy.eval_logits(k), stream.task(k), ctx) for k in range(t + 1)
+        ]
         extra_params_by_task.append(strategy.extra_params())
-        _save_task_checkpoints(strategy, cfg.out_dir, task.task_id)
+        _save_task_checkpoints(strategy, cfg.out_dir, t)
 
-    both = summary_metrics(matrix)
-    headline = both["incl_pretrain"] if cfg.include_pretrain else both["excl_pretrain"]
-    report = RunReport(
+    report = build_report(
+        R,
+        cfg.include_pretrain,
+        extra_params_by_task,
+        epoch_seconds,
         strategy=cfg.strategy,
         seed=cfg.seed,
         config_hash=config_hash(cfg),
         stream_fingerprint=features.stream_fingerprint,
-        matrix=matrix.as_lists(),
-        acc=headline["acc"],
-        la=headline["la"],
-        bwt=headline["bwt"],
-        metrics_incl_pretrain=both["incl_pretrain"],
-        metrics_excl_pretrain=both["excl_pretrain"],
-        extra_params=strategy.extra_params(),
         buffer_bytes=strategy.buffer_bytes(),
-        acc_by_task=acc_by_task,
-        extra_params_by_task=extra_params_by_task,
         training_log=training_log,
-        epoch_seconds=epoch_seconds,
-        tt_mean_epoch_seconds=float(np.mean(epoch_seconds)) if epoch_seconds else 0.0,
         extras=strategy.report_extras(),
         config_flat={k: v for k, v in config_to_flat(cfg).items() if k != "out_dir"},
     )

@@ -259,20 +259,13 @@ def test_criterion_03_formula_exactness():
     assert sorted(r.uri for r in full) == sorted(r.uri for r in hist[0] + new)
 
     # summary metrics on the two-task example
-    m = metrics.AccuracyMatrix(2)
-    m.record(1, 0, 0.8)
-    m.record(0, 0, 0.9)
-    m.record(1, 1, 0.95)
+    m = np.array([[0.9, np.nan], [0.8, 0.95]])
     assert metrics.acc(m) == (0.8 + 0.95) / 2
     assert metrics.la(m) == (0.9 + 0.95) / 2
     assert abs(metrics.bwt(m) - (0.8 - 0.9)) < 1e-15
 
     def recorded(rows):
-        m = metrics.AccuracyMatrix(len(rows))
-        for t, row in enumerate(rows):
-            for k, v in enumerate(row):
-                m.record(t, k, v)
-        return m
+        return [row + [None] * (len(rows) - len(row)) for row in rows]
 
     flat = recorded([[0.7], [0.7, 0.7], [0.7, 0.7, 0.7]])
     assert metrics.bwt(flat) == 0.0

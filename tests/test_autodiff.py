@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -487,6 +489,20 @@ def test_checkpoint_round_trip_f8_bitwise(tmp_path):
     assert [s.trainable for s in segs] == [True, False]
     for got, want in zip(segs, pv.segments):
         assert got.tensor.data.tobytes() == want.tensor.data.tobytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, _sample_params(), meta={"task": 0})
+
+    def fail(params, meta=None):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ad, "checkpoint_bytes", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, _sample_params(), meta={"task": 1})
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    assert load_checkpoint(path)[0] == {"task": 0}
 
 
 def test_checkpoint_rejects_a_header_naming_another_dtype(tmp_path):

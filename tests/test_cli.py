@@ -38,6 +38,15 @@ def test_run_command(tmp_path, capsys):
     assert (run_dir / "matrix.csv").exists()
 
 
+def test_run_prints_a_dash_for_an_undefined_bwt(tmp_path, capsys):
+    """Without pretraining, a one-task stream has no earlier task to forget."""
+    cfg_path = write_micro_config(
+        tmp_path / "run.cfg", **{"metrics.include_pretrain": "false", "stream.tasks": 1})
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert " BWT=- " in capsys.readouterr().out
+    assert load_report(tmp_path / "out" / "finetune_seed0").bwt is None
+
+
 def test_run_env_output_root(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KWSLAB_OUT", str(tmp_path / "envroot"))
     monkeypatch.chdir(tmp_path)
@@ -189,6 +198,27 @@ def test_sweep_rejects_split_streams_before_training(tmp_path, capsys, monkeypat
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError") and "seed 0" in err
+    assert trained == []
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("entries", [
+    ["nr", {"strategy": "nr", "nr.xi": 0.5}],
+    ["ft", "si", "finetune"],
+])
+def test_sweep_rejects_duplicate_strategies_before_training(tmp_path, capsys, monkeypatch,
+                                                           entries):
+    """Runs of one strategy and seed would share a run directory and a table row."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": dict(MICRO_FLAT), "strategies": entries}))
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: sweep.strategies")
+    assert repr(entries[0]) in err and repr(entries[-1]) in err
     assert trained == []
     assert not root.exists()
 

@@ -1,12 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from kwslab import metrics
 from kwslab.errors import ConfigError, MetricsError
 from kwslab.metrics import (
-    AccuracyMatrix,
     RunReport,
     acc,
     aggregate_comparisons,
@@ -18,51 +20,13 @@ from kwslab.metrics import (
     render_csv,
     render_table,
     reports_equivalent,
-    summary_metrics,
+    summary,
 )
 
 
 def full_matrix(rows):
-    m = AccuracyMatrix(len(rows))
-    for t, row in enumerate(rows):
-        for k, v in enumerate(row):
-            m.record(t, k, v)
-    return m
-
-
-# -- accuracy matrix ------------------------------------------------------------
-
-def test_record_and_read_back():
-    m = AccuracyMatrix(3)
-    m.record(1, 0, 0.5)
-    assert m.array()[1, 0] == 0.5
-    assert np.isnan(m.array()[0, 0])
-    m.record(0, 0, 0.9)
-    m.record(1, 1, 0.7)
-    assert m.as_lists()[:2] == [[0.9, None, None], [0.5, 0.7, None]]
-
-
-def test_record_rejects_bad_cells():
-    m = AccuracyMatrix(2)
-    with pytest.raises(MetricsError):
-        m.record(0, 1, 0.5)  # above the diagonal
-    with pytest.raises(MetricsError):
-        m.record(2, 0, 0.5)
-    with pytest.raises(MetricsError):
-        m.record(0, 0, 1.5)
-    m.record(0, 0, 1.0)
-    with pytest.raises(MetricsError):
-        m.record(0, 0, 0.9)  # write-once
-
-
-def test_read_unpopulated_cell():
-    m = AccuracyMatrix(2)
-    assert np.isnan(m.array()[0, 0])
-    assert m.as_lists()[0][0] is None
-
-
-def test_lists_round_trip():
-    assert full_matrix([[0.9], [0.8, 0.95]]).as_lists() == [[0.9, None], [0.8, 0.95]]
+    """The square matrix of lower-triangular rows, None above the diagonal."""
+    return [row + [None] * (len(rows) - len(row)) for row in rows]
 
 
 # -- headline metrics ------------------------------------------------------------
@@ -94,18 +58,16 @@ def test_three_task_by_hand():
 def test_single_task_bwt_undefined():
     m = full_matrix([[0.9]])
     assert acc(m) == 0.9
-    with pytest.raises(MetricsError):
-        bwt(m)
-    s = summary_metrics(m)
-    assert s["incl_pretrain"]["acc"] == 0.9
-    assert s["incl_pretrain"]["bwt"] is None
-    assert s["excl_pretrain"]["acc"] is None
+    assert bwt(m) is None
+    s = summary(m, include_pretrain=True)
+    assert s["acc"] == 0.9
+    assert s["bwt"] is None
+    with pytest.raises(MetricsError):  # no task is left once pretraining is excluded
+        summary(m, include_pretrain=False)
 
 
 def test_partial_matrix_rejected():
-    m = AccuracyMatrix(2)
-    m.record(0, 0, 0.9)
-    m.record(1, 1, 0.8)  # (1, 0) missing
+    m = [[0.9, None], [None, 0.8]]  # (1, 0) missing
     with pytest.raises(MetricsError):
         acc(m)
 
@@ -125,8 +87,7 @@ def test_metrics_match_loop_oracle(rows, include):
     if include or len(rows) >= 3:
         assert bwt(m, include) == pytest.approx(oracles.bwt_loop(rows, include), abs=1e-12)
     else:
-        with pytest.raises(MetricsError):
-            bwt(m, include)
+        assert bwt(m, include) is None
 
 
 # -- run reports -------------------------------------------------------------------
@@ -197,6 +158,23 @@ def test_emit_and_load(tmp_path):
     assert len(curve) == 1 + len(r.acc_by_task)
     growth = (tmp_path / "params_vs_acc.csv").read_text().strip().splitlines()
     assert growth[1] == "0,0.9"
+
+
+def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    kept = make_report()
+    emit_report(kept, tmp_path / "kept")
+
+    def dump(doc, fh, **kwargs):
+        fh.write('{"strategy": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(metrics.json, "dump", dump)
+    for out in (tmp_path / "fresh", tmp_path / "kept"):
+        with pytest.raises(OSError):
+            emit_report(make_report(acc_v=0.5), out)
+    assert os.listdir(tmp_path / "fresh") == []
+    assert not (tmp_path / "kept" / "report.json.tmp").exists()
+    assert load_report(tmp_path / "kept") == kept
 
 
 def test_float_precision_survives_emit(tmp_path):

@@ -9,8 +9,9 @@ import pytest
 from kwslab import autodiff as ad
 from kwslab import strategies, trainer
 from kwslab.autodiff import Sgd, Tensor
+from kwslab.config import STRATEGIES
 from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
-from kwslab.metrics import load_report, reports_equivalent
+from kwslab.metrics import load_report, reports_equivalent, summary
 from kwslab.seeding import rng_for
 from kwslab.strategies import FineTune, Si, TrainContext
 from kwslab.trainer import FeatureCache, evaluate, stream_fingerprint
@@ -234,20 +235,27 @@ def test_run_writes_artifacts(micro_run):
     assert "out_dir" not in doc["config_flat"]
 
 
-def test_report_shapes(micro_run):
-    report, _ = micro_run("finetune")
+@pytest.mark.parametrize("include", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_report_shapes(micro_run, strategy, include):
+    report, _ = micro_run(strategy, **({} if include else {"metrics.include_pretrain": False}))
     assert len(report.matrix) == 3
     assert [sum(v is not None for v in row) for row in report.matrix] == [1, 2, 3]
     for t, row in enumerate(report.matrix):
         vals = [v for v in row if v is not None]
         assert report.acc_by_task[t] == pytest.approx(float(np.mean(vals)))
-    assert report.extra_params_by_task == [0, 0, 0]
-    assert report.acc == pytest.approx(float(np.mean([v for v in report.matrix[2]])))
+    assert report.extra_params == report.extra_params_by_task[-1]
+    if strategy == "finetune":
+        assert report.extra_params_by_task == [0, 0, 0]
+    final = report.matrix[2] if include else report.matrix[2][1:]
+    assert report.acc == pytest.approx(float(np.mean(final)))
     assert len(report.epoch_seconds) == 2 + 2 + 2
     assert report.tt_mean_epoch_seconds == pytest.approx(float(np.mean(report.epoch_seconds)))
-    # both conventions are reported; the headline follows the config default
-    assert report.metrics_incl_pretrain["acc"] == report.acc
-    assert report.metrics_excl_pretrain["acc"] is not None
+    # both conventions are reported; the headline follows metrics.include_pretrain
+    assert report.metrics_incl_pretrain == summary(report.matrix, include_pretrain=True)
+    assert report.metrics_excl_pretrain == summary(report.matrix, include_pretrain=False)
+    headline = report.metrics_incl_pretrain if include else report.metrics_excl_pretrain
+    assert {"acc": report.acc, "la": report.la, "bwt": report.bwt} == headline
 
 
 def test_eval_every_logs_midtask_accuracy(micro_run):
@@ -270,9 +278,3 @@ def test_midtask_evaluation_leaves_training_unchanged(micro_run, strategy):
     assert any("task_acc" in entry for entry in probed.training_log)
     assert probed.matrix == plain.matrix
     assert [e["loss"] for e in probed.training_log] == [e["loss"] for e in plain.training_log]
-
-
-def test_exclude_pretrain_headline(micro_run):
-    report, _ = micro_run("finetune", **{"metrics.include_pretrain": False})
-    assert report.acc == report.metrics_excl_pretrain["acc"]
-    assert report.bwt == report.metrics_excl_pretrain["bwt"]
