@@ -56,8 +56,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The features of the last stream this process ran a sweep config on, under
-# the key (seed, stream config) that fixes the stream. A pool process gets
+# The features of the last stream this process ran a sweep config on, and
+# the task-0 states its runs share, under the key (seed, stream config) that
+# fixes the stream. A pool process gets
 # only the config, so the cache lives at module level. A sweep runs each
 # stream's configs back to back, so a process extracts a stream once per
 # switch to it and holds one stream's features at a time.
@@ -145,11 +146,18 @@ def _sweep_configs(manifest: dict, out_root: str) -> list[RunConfig]:
             )
         entry_of[name] = entry
         entries.append(overrides)
-    cfgs = []
+    cfgs, seed_of = [], {}
     for seed in seeds:
         for overrides in entries:
             cfg = config_from_mapping({**base, **overrides, "seed": seed})
             cfgs.append(replace(cfg, out_dir=_run_dir(out_root, cfg)))
+        if cfg.seed in seed_of:  # as for a repeated strategy: one directory and row
+            raise ConfigError(
+                "sweep.seeds",
+                f"seeds {seed_of[cfg.seed]!r} and {seed!r} are both seed {cfg.seed}; "
+                "a sweep runs each seed once",
+            )
+        seed_of[cfg.seed] = seed
     return cfgs
 
 

@@ -161,7 +161,7 @@ _KEY_TABLE = {
     "stream.corpus_dir": (("stream", "corpus_dir"), str, None),
     "stream.pretrain_keywords": (("stream", "layout", "n_pretrain_keywords"), int, "[2, inf)"),
     "stream.tasks": (("stream", "layout", "n_tasks"), int, "[1, inf)"),
-    "stream.keywords_per_task": (("stream", "layout", "keywords_per_task"), int, "[1, inf)"),
+    "stream.keywords_per_task": (("stream", "layout", "keywords_per_task"), int, "[2, inf)"),
     "stream.train_frac": (("stream", "layout", "train_frac"), float, "(0, 1)"),
     "synth.keywords": (("stream", "synth", "n_keywords"), int, "[1, inf)"),
     "synth.clips": (("stream", "synth", "clips_per_keyword"), int, "[1, inf)"),

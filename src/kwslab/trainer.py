@@ -13,7 +13,9 @@ After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
 rows the run records. The `FeatureCache` holds every clip's features before
-the first task, so `epoch_seconds` covers training only. A run is
+the first task, so `epoch_seconds` covers training only. It also holds the
+task-0 states of the global-head class: the runs on one cache that train
+task 0 alike train it once and adopt the result. A run is
 single-threaded end to end and bit-reproducible for a fixed config at a
 fixed BLAS thread count; only wall-clock timings differ between repeats. A
 different thread count may change how BLAS sums a GEMM, and with it the last
@@ -37,7 +39,7 @@ from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
-from .strategies import Strategy, TrainContext, make_strategy
+from .strategies import Pretraining, Si, Strategy, TrainContext, make_strategy
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
 
 EVAL_BATCH = 64
@@ -59,12 +61,15 @@ class FeatureCache:
 
     Building the cache extracts every clip. One cache serves every run on
     the same stream; `stream_fingerprint` says which stream that is.
+    `pretrained` holds the task-0 states those runs share, by
+    `_pretraining_key`.
     """
 
     def __init__(self, stream: TaskStream):
         self.stream = stream
         self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
+        self.pretrained: dict[tuple, Pretraining] = {}
         for task in stream.tasks:
             for ref in (*task.train, *task.test):
                 self(ref)
@@ -163,6 +168,46 @@ def _train_task(
         training_log.append(entry)
 
 
+# Config keys that cannot change how task 0 trains: every other key, one
+# added later included, is part of `_pretraining_key`.
+_NOT_PRETRAINING_KEYS = ("strategy", "out_dir", "sgd.epochs")
+_NOT_PRETRAINING_SECTIONS = ("metrics.", "ewc.", "si.", "nr.", "gem.", "pcl.")
+
+
+def _pretraining_key(cfg: RunConfig, pretraining_class: str) -> tuple:
+    flat = config_to_flat(cfg)
+    return (pretraining_class, *sorted(
+        (key, value) for key, value in flat.items()
+        if key not in _NOT_PRETRAINING_KEYS and not key.startswith(_NOT_PRETRAINING_SECTIONS)
+    ))
+
+
+def _adopt_pretraining(
+    pretrained: dict[tuple, Pretraining],
+    cfg: RunConfig,
+    ctx: TrainContext,
+    strategy: Strategy,
+    task: TaskSpec,
+    training_log: list,
+    epoch_seconds: list,
+) -> None:
+    """Get or train the task-0 state of the strategy's class, then adopt it.
+
+    An Si trains it, so the state holds the path integral too; the timing
+    rows are those of the run that trained it.
+    """
+    key = _pretraining_key(cfg, strategy.pretraining_class)
+    if key not in pretrained:
+        producer = Si(ctx)
+        log, seconds = [], []
+        _train_task(cfg, ctx, producer, task, log, seconds)
+        pretrained[key] = producer.pretraining(log, seconds)
+    state = pretrained[key]
+    strategy.adopt_pretraining(state)
+    training_log.extend(dict(row) for row in state.training_log)
+    epoch_seconds.extend(state.epoch_seconds)
+
+
 def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int) -> None:
     if not out_dir:
         return
@@ -201,7 +246,12 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
 
     for task in stream.tasks:
         t = task.task_id
-        _train_task(cfg, ctx, strategy, task, training_log, epoch_seconds)
+        if task.is_pretrain and strategy.pretraining_class:
+            _adopt_pretraining(
+                features.pretrained, cfg, ctx, strategy, task, training_log, epoch_seconds
+            )
+        else:
+            _train_task(cfg, ctx, strategy, task, training_log, epoch_seconds)
         strategy.after_task(task)
         R[t, : t + 1] = [
             evaluate(strategy.eval_logits(k), stream.task(k), ctx) for k in range(t + 1)

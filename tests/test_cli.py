@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 from collections import Counter
@@ -72,6 +73,17 @@ def test_run_rejects_infinite_mu_before_training(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "error: ConfigError: pcl.mu: must be in (0, inf), got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_one_keyword_per_task_before_training(tmp_path, capsys):
+    cfg_path = write_micro_config(
+        tmp_path / "one.cfg", strategy="standalone", **{"stream.keywords_per_task": 1})
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigError: stream.keywords_per_task: must be in [2, inf), got 1\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -223,6 +235,25 @@ def test_sweep_rejects_duplicate_strategies_before_training(tmp_path, capsys, mo
     assert not root.exists()
 
 
+@pytest.mark.parametrize("seeds", [[0, 0], [1, 0, "1"]])
+def test_sweep_rejects_a_repeated_seed_before_training(tmp_path, capsys, monkeypatch, seeds):
+    """Runs of one strategy and seed would share a run directory and a table row."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        {"base": dict(MICRO_FLAT), "strategies": ["finetune"], "seeds": seeds}))
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: sweep.seeds: seeds {seeds[0]!r} and {seeds[-1]!r} are both "
+        f"seed {int(seeds[0])}; a sweep runs each seed once\n"
+    )
+    assert trained == []
+    assert not root.exists()
+
+
 def write_sweep(tmp_path, strategies, seeds=(0,)):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(
@@ -309,6 +340,77 @@ def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
     stream = trainer.build_stream_from_config(micro_config())
     clips = {ref.uri for task in stream.tasks for ref in (*task.train, *task.test)}
     assert {line.split()[1] for line in extracted} == clips
+
+
+SEVEN = ["standalone", "pcl", "nr", "finetune", "ewc", "si", "gem"]
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers see the patched trainer only when forked")
+
+
+def artifacts(out_dir):
+    """Every file a run writes but report.json (which holds timings), as bytes."""
+    out_dir = pathlib.Path(out_dir)
+    return {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in out_dir.rglob("*") if path.is_file() and path.name != "report.json"
+    }
+
+
+def assert_runs_match_separate_runs(root, entries, micro_run):
+    for entry in entries:
+        strategy, overrides = (entry, {}) if isinstance(entry, str) else (
+            entry["strategy"], {k: v for k, v in entry.items() if k != "strategy"})
+        alone, alone_dir = micro_run(strategy, **overrides)
+        report = load_report(root / f"{strategy}_seed0")
+        assert reports_equivalent(report, alone), strategy
+        assert report.training_log == alone.training_log, strategy
+        files = artifacts(root / f"{strategy}_seed0")
+        assert "checkpoints" in {pathlib.Path(name).parts[0] for name in files}, strategy
+        assert files == artifacts(alone_dir), strategy
+
+
+def pretrainings_of(tmp_path, monkeypatch, manifest_strategies, jobs):
+    """Run a micro sweep; return (output root, the names of the strategy
+    objects that trained a pretraining task, in order)."""
+    log = tmp_path / "pretrained.log"
+    real_train_task = trainer._train_task
+
+    def logging_train_task(cfg, ctx, strategy, task, *args):
+        if task.is_pretrain:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{cfg.strategy} {strategy.name}\n")
+        return real_train_task(cfg, ctx, strategy, task, *args)
+
+    monkeypatch.setattr(trainer, "_train_task", logging_train_task)
+    root = tmp_path / "sweeps"
+    path = write_sweep(tmp_path, manifest_strategies)
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 0
+    monkeypatch.undo()
+    return root, log.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
+def test_sweep_pretrains_the_global_head_class_once(tmp_path, capsys, monkeypatch, micro_run,
+                                                   jobs):
+    """finetune, ewc, si and gem adopt one task-0 state, which an Si trains;
+    standalone, pcl and nr train their own. Every run still matches a run
+    of its config alone, checkpoints and CSVs byte for byte."""
+    root, pretrained = pretrainings_of(tmp_path, monkeypatch, SEVEN, jobs)
+    if jobs == "1":
+        assert pretrained == ["standalone standalone", "pcl pcl", "nr nr", "finetune si"]
+    else:  # a worker shares only what it trained itself
+        trained = Counter(line.split()[1] for line in pretrained)
+        assert trained.pop("si") in (1, 2)
+        assert trained == {"standalone": 1, "pcl": 1, "nr": 1}
+    assert_runs_match_separate_runs(root, SEVEN, micro_run)
+
+
+def test_a_pretraining_key_override_trains_its_own_task0(tmp_path, capsys, monkeypatch,
+                                                         micro_run):
+    entries = ["finetune", "gem", {"strategy": "si", "sgd.lr": 0.02}]
+    root, pretrained = pretrainings_of(tmp_path, monkeypatch, entries, "1")
+    assert pretrained == ["finetune si", "si si"]
+    assert_runs_match_separate_runs(root, entries, micro_run)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -409,6 +511,14 @@ def test_describe_subnet(capsys):
 
     assert main(["describe", "--model", "subnet", "--classes", "3"]) == 2
     assert "describe.alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", ["0", "1"])
+def test_describe_rejects_a_subnet_of_fewer_than_two_classes(capsys, classes):
+    assert main(["describe", "--model", "subnet", "--classes", classes, "--alpha", "0.2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: model.n_classes: must be >= 2, got {classes}\n"
+    )
 
 
 # 1e300 is finite but scales a layer past models.MAX_SUBNET_CHANNELS

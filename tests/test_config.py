@@ -165,7 +165,8 @@ RANGE_CASES = [
     ("eval_every", -1, 0),
     ("stream.pretrain_keywords", 1, 2),
     ("stream.tasks", 0, 1),
-    ("stream.keywords_per_task", 0, 1),
+    ("stream.keywords_per_task", 0, 2),
+    ("stream.keywords_per_task", 1, 2),  # argmax over one logit always scores 1.0
     ("stream.train_frac", 0.0, TINY),
     ("stream.train_frac", 1.0, 1.0 - 2.0**-53),
     ("synth.keywords", 0, 1),

@@ -104,7 +104,6 @@ SURFACE_ALLOWED = {
     "scale": "criterion-1 gradient suite: the constant-factor op",
     "TaskStream.load_manifest": "resume (ROADMAP item 8) reloads a run's stream.json",
     "load_checkpoint": "resume (ROADMAP item 8) reads the per-task checkpoints",
-    "restore_into": "resume (ROADMAP item 8) copies checkpoint values into a model",
     "ParameterVector.set_grad_vector": "perfbench/tracer.py counts it in COPY_METHODS",
 }
 
