@@ -234,6 +234,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_describe(args) -> int:
+    if args.classes < 2:  # TcResNet8 checks this itself; a SubNet builds any head
+        raise ConfigError("model.n_classes", f"must be >= 2, got {args.classes}")
     if args.model == "tcresnet8":
         model = TcResNet8(n_classes=args.classes)
     else:

@@ -245,8 +245,6 @@ class SubNet(Column):
     """
 
     def __init__(self, c_in: int, scaled_channels: tuple[int, int], n_classes: int, seed: int = 0):
-        if n_classes < 2:
-            raise ConfigError("model.n_classes", f"must be >= 2, got {n_classes}")
         rng = np.random.default_rng(seed)
         c1, c2 = scaled_channels
         block = ResidualBlock(rng, "sub", c_in, c1, c2)

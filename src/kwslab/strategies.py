@@ -66,24 +66,12 @@ def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
     return lambda ref: task.local_label(ref.keyword)
 
 
-@dataclass(frozen=True)
-class Pretraining:
-    """Task 0 as every member of the global-head class trains it: the
-    model's segments (running stats included), the task's training-log and
-    epoch-time rows, and SI's path integral and step count over it."""
-
-    segments: list[Segment]
-    training_log: list[dict]
-    epoch_seconds: list[float]
-    si_path: np.ndarray
-    si_steps: int
-
-
 class Strategy:
     name = "base"
-    # Strategies with one tag train task 0 identically, so they adopt one
-    # `Pretraining` instead of training it; None trains its own.
-    pretraining_class: str | None = None
+    # Strategies that train task 0 as an `Si` does before its first anchor,
+    # so a run on a shared feature cache adopts one trained task 0 (see
+    # `adopt_pretraining`) instead of training its own.
+    shares_pretraining = False
 
     def __init__(self, ctx: TrainContext):
         self.ctx = ctx
@@ -132,7 +120,7 @@ class GlobalHeadStrategy(Strategy):
     """Shared base for strategies training one model with a head over every
     stream keyword; tasks are windows into that global label space."""
 
-    pretraining_class = "global-head"
+    shares_pretraining = True
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
@@ -160,8 +148,9 @@ class GlobalHeadStrategy(Strategy):
     def checkpoint_items(self):
         return [("model", self.model.params)]
 
-    def adopt_pretraining(self, state: Pretraining) -> None:
-        ad.restore_into(self.model.params, state.segments)
+    def adopt_pretraining(self, producer: Si) -> None:
+        """Take the model (running stats included) of an Si trained on task 0."""
+        ad.restore_into(self.model.params, producer.model.params.segments)
 
     def _grad_on(self, refs: list[ClipRef]) -> np.ndarray:
         """Gradient of the task loss on refs at the current parameters.
@@ -277,20 +266,10 @@ class Si(AnchoredPenalty):
         si_accumulate(self.path, g_kws, delta)
         self._steps += 1
 
-    def pretraining(self, training_log: list[dict], epoch_seconds: list[float]) -> Pretraining:
-        """This Si's task 0, for any global-head member to adopt. Before its
-        first anchor an Si trains exactly as every member does, and it alone
-        also records what a member needs afterwards: the path integral."""
-        segments = [
-            Segment(s.name, Tensor(s.tensor.data.copy()), s.trainable)
-            for s in self.model.params.segments
-        ]
-        return Pretraining(segments, training_log, epoch_seconds, self.path.copy(), self._steps)
-
-    def adopt_pretraining(self, state: Pretraining) -> None:
-        super().adopt_pretraining(state)
-        self.path[:] = state.si_path
-        self._steps = state.si_steps
+    def adopt_pretraining(self, producer: Si) -> None:
+        super().adopt_pretraining(producer)
+        self.path[:] = producer.path
+        self._steps = producer._steps
 
     def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
         """The task's path integral; also starts the next task's path."""
@@ -342,7 +321,7 @@ def nr_mix(history: list[list[ClipRef]], d_t: list[ClipRef], xi: float, seed: in
 
 class NaiveRehearsal(GlobalHeadStrategy):
     name = "nr"
-    pretraining_class = None  # nr_mix reshuffles task 0 into another data order
+    shares_pretraining = False  # nr_mix reshuffles task 0 into another data order
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)

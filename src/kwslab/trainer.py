@@ -13,10 +13,10 @@ After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
 rows the run records. The `FeatureCache` holds every clip's features before
-the first task, so `epoch_seconds` covers training only. It also holds the
-task-0 states of the global-head class: the runs on one cache that train
-task 0 alike train it once and adopt the result. A run is
-single-threaded end to end and bit-reproducible for a fixed config at a
+the first task, so `epoch_seconds` covers training only. A cache passed
+in by the caller also holds the task 0 trained for the global-head class:
+the runs on it that train task 0 alike train it once and adopt the result.
+A run is single-threaded end to end and bit-reproducible for a fixed config at a
 fixed BLAS thread count; only wall-clock timings differ between repeats. A
 different thread count may change how BLAS sums a GEMM, and with it the last
 bits of the numbers.
@@ -39,7 +39,7 @@ from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
-from .strategies import Pretraining, Si, Strategy, TrainContext, make_strategy
+from .strategies import Si, Strategy, TrainContext, make_strategy
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
 
 EVAL_BATCH = 64
@@ -61,15 +61,15 @@ class FeatureCache:
 
     Building the cache extracts every clip. One cache serves every run on
     the same stream; `stream_fingerprint` says which stream that is.
-    `pretrained` holds the task-0 states those runs share, by
-    `_pretraining_key`.
+    `pretrained` holds the task 0 those runs share, by `_pretraining_key`:
+    the Si that trained it, with its training-log and epoch-time rows.
     """
 
     def __init__(self, stream: TaskStream):
         self.stream = stream
         self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
-        self.pretrained: dict[tuple, Pretraining] = {}
+        self.pretrained: dict[tuple, tuple[Si, list[dict], list[float]]] = {}
         for task in stream.tasks:
             for ref in (*task.train, *task.test):
                 self(ref)
@@ -174,16 +174,15 @@ _NOT_PRETRAINING_KEYS = ("strategy", "out_dir", "sgd.epochs")
 _NOT_PRETRAINING_SECTIONS = ("metrics.", "ewc.", "si.", "nr.", "gem.", "pcl.")
 
 
-def _pretraining_key(cfg: RunConfig, pretraining_class: str) -> tuple:
-    flat = config_to_flat(cfg)
-    return (pretraining_class, *sorted(
-        (key, value) for key, value in flat.items()
+def _pretraining_key(cfg: RunConfig) -> tuple:
+    return tuple(sorted(
+        (key, value) for key, value in config_to_flat(cfg).items()
         if key not in _NOT_PRETRAINING_KEYS and not key.startswith(_NOT_PRETRAINING_SECTIONS)
     ))
 
 
 def _adopt_pretraining(
-    pretrained: dict[tuple, Pretraining],
+    pretrained: dict,
     cfg: RunConfig,
     ctx: TrainContext,
     strategy: Strategy,
@@ -191,21 +190,21 @@ def _adopt_pretraining(
     training_log: list,
     epoch_seconds: list,
 ) -> None:
-    """Get or train the task-0 state of the strategy's class, then adopt it.
+    """Get or train task 0 for the config's key, then adopt it.
 
-    An Si trains it, so the state holds the path integral too; the timing
+    An Si trains it: before its first anchor an Si trains as every sharing
+    strategy does, and it alone also records SI's path integral. The timing
     rows are those of the run that trained it.
     """
-    key = _pretraining_key(cfg, strategy.pretraining_class)
+    key = _pretraining_key(cfg)
     if key not in pretrained:
-        producer = Si(ctx)
-        log, seconds = [], []
+        producer, log, seconds = Si(ctx), [], []
         _train_task(cfg, ctx, producer, task, log, seconds)
-        pretrained[key] = producer.pretraining(log, seconds)
-    state = pretrained[key]
-    strategy.adopt_pretraining(state)
-    training_log.extend(dict(row) for row in state.training_log)
-    epoch_seconds.extend(state.epoch_seconds)
+        pretrained[key] = (producer, log, seconds)
+    producer, log, seconds = pretrained[key]
+    strategy.adopt_pretraining(producer)
+    training_log.extend(dict(row) for row in log)
+    epoch_seconds.extend(seconds)
 
 
 def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int) -> None:
@@ -221,9 +220,11 @@ def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int
 
 def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     """Train and evaluate one config; `features` may be a cache shared with
-    other runs on the same stream."""
+    other runs on the same stream. Only on such a cache does a run share its
+    task 0: a cache built here ends with the run."""
     cfg.validate()
     stream = build_stream_from_config(cfg)
+    shared = features is not None
     if features is None:
         features = FeatureCache(stream)
     elif features.stream_fingerprint != stream_fingerprint(stream):
@@ -246,7 +247,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
 
     for task in stream.tasks:
         t = task.task_id
-        if task.is_pretrain and strategy.pretraining_class:
+        if task.is_pretrain and strategy.shares_pretraining and shared:
             _adopt_pretraining(
                 features.pretrained, cfg, ctx, strategy, task, training_log, epoch_seconds
             )

@@ -369,9 +369,9 @@ def assert_runs_match_separate_runs(root, entries, micro_run):
         assert files == artifacts(alone_dir), strategy
 
 
-def pretrainings_of(tmp_path, monkeypatch, manifest_strategies, jobs):
-    """Run a micro sweep; return (output root, the names of the strategy
-    objects that trained a pretraining task, in order)."""
+def pretrainings_of(tmp_path, monkeypatch, argv):
+    """Run `kwslab <argv>`; return the config strategy and the strategy
+    object's name of every pretraining task trained, in order."""
     log = tmp_path / "pretrained.log"
     real_train_task = trainer._train_task
 
@@ -382,11 +382,17 @@ def pretrainings_of(tmp_path, monkeypatch, manifest_strategies, jobs):
         return real_train_task(cfg, ctx, strategy, task, *args)
 
     monkeypatch.setattr(trainer, "_train_task", logging_train_task)
-    root = tmp_path / "sweeps"
-    path = write_sweep(tmp_path, manifest_strategies)
-    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 0
+    assert main(argv) == 0
     monkeypatch.undo()
-    return root, log.read_text(encoding="utf-8").splitlines()
+    return log.read_text(encoding="utf-8").splitlines()
+
+
+def sweep_pretrainings(tmp_path, monkeypatch, entries, jobs):
+    """Run a micro sweep; return (output root, `pretrainings_of` it)."""
+    root = tmp_path / "sweeps"
+    path = write_sweep(tmp_path, entries)
+    argv = ["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]
+    return root, pretrainings_of(tmp_path, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
@@ -395,7 +401,7 @@ def test_sweep_pretrains_the_global_head_class_once(tmp_path, capsys, monkeypatc
     """finetune, ewc, si and gem adopt one task-0 state, which an Si trains;
     standalone, pcl and nr train their own. Every run still matches a run
     of its config alone, checkpoints and CSVs byte for byte."""
-    root, pretrained = pretrainings_of(tmp_path, monkeypatch, SEVEN, jobs)
+    root, pretrained = sweep_pretrainings(tmp_path, monkeypatch, SEVEN, jobs)
     if jobs == "1":
         assert pretrained == ["standalone standalone", "pcl pcl", "nr nr", "finetune si"]
     else:  # a worker shares only what it trained itself
@@ -408,9 +414,18 @@ def test_sweep_pretrains_the_global_head_class_once(tmp_path, capsys, monkeypatc
 def test_a_pretraining_key_override_trains_its_own_task0(tmp_path, capsys, monkeypatch,
                                                          micro_run):
     entries = ["finetune", "gem", {"strategy": "si", "sgd.lr": 0.02}]
-    root, pretrained = pretrainings_of(tmp_path, monkeypatch, entries, "1")
+    root, pretrained = sweep_pretrainings(tmp_path, monkeypatch, entries, "1")
     assert pretrained == ["finetune si", "si si"]
     assert_runs_match_separate_runs(root, entries, micro_run)
+
+
+@pytest.mark.parametrize("strategy", ["finetune", "si"])
+def test_a_lone_run_trains_its_own_task0(tmp_path, capsys, monkeypatch, strategy):
+    """The feature cache of `kwslab run` ends with the run, so the run trains
+    task 0 on its own strategy and builds no Si to share it."""
+    cfg_path = write_micro_config(tmp_path / "run.cfg", strategy=strategy)
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert pretrainings_of(tmp_path, monkeypatch, argv) == [f"{strategy} {strategy}"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

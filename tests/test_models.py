@@ -142,7 +142,7 @@ def test_fixed_spec_ignores_alpha():
     assert sn.head.w.data.shape == (2, 48)
 
 
-@given(st.integers(min_value=2, max_value=15), st.integers(min_value=2, max_value=15))
+@given(st.integers(min_value=1, max_value=15), st.integers(min_value=1, max_value=15))
 def test_subnet_count_monotone_in_alpha(ca, cb):
     cfg = ScalingConfig(mu=1.0, c0=15)
     lo, hi = min(ca, cb), max(ca, cb)
@@ -156,7 +156,7 @@ def test_subnet_count_monotone_in_alpha(ca, cb):
         assert n_lo == n_hi
 
 
-@given(st.integers(min_value=2, max_value=15))
+@given(st.integers(min_value=1, max_value=15))
 def test_scaled_never_exceeds_fixed(c_t):
     cfg = ScalingConfig(mu=1.0, c0=15)
     with warnings.catch_warnings():
@@ -185,13 +185,6 @@ def test_tcresnet8_rejects_single_class():
         TcResNet8(n_classes=1)
 
 
-@pytest.mark.parametrize("n_classes", [0, 1])
-def test_subnet_rejects_fewer_than_two_classes(n_classes):
-    with pytest.raises(ConfigError) as err:
-        SubNet(24, (8, 8), n_classes)
-    assert err.value.field == "model.n_classes"
-
-
 def test_encoder_downsamples_once():
     model = TcResNet8(seed=0)
     h = model.encoder_forward(
@@ -211,7 +204,7 @@ def test_encoder_tail_partition_covers_everything():
 
 
 def test_subnet_head_matches_keyword_count():
-    for c_t in (2, 3, 5):
+    for c_t in (1, 2, 3, 5):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sn = instantiate_subnet(c_t, ScalingConfig(mu=1.0, c0=15), c_in=24, seed=0)
