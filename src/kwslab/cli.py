@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
 from .errors import ConfigError, KwslabError
+from .fileio import replace_on_success
 from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
 from .models import (
     SubNet,
@@ -189,10 +190,12 @@ def cmd_sweep(args) -> int:
     comparison = {**compare_by_seed(reports), "failed": failed}
 
     os.makedirs(out_root, exist_ok=True)
-    with open(os.path.join(out_root, "comparison.json"), "w", encoding="utf-8") as fh:
+    json_path = os.path.join(out_root, "comparison.json")
+    with replace_on_success(json_path, "w", encoding="utf-8") as fh:
         json.dump(comparison, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_root, "comparison.csv"), "w", encoding="utf-8") as fh:
+    csv_path = os.path.join(out_root, "comparison.csv")
+    with replace_on_success(csv_path, "w", encoding="utf-8") as fh:
         fh.write(render_csv(comparison["aggregate"]))
 
     print(render_table(comparison["aggregate"]))

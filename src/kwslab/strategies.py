@@ -68,10 +68,10 @@ def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
 
 class Strategy:
     name = "base"
-    # Strategies that train task 0 as an `Si` does before its first anchor,
-    # so a run on a shared feature cache adopts one trained task 0 (see
-    # `adopt_pretraining`) instead of training its own.
-    shares_pretraining = False
+    # The class that trains, on a shared feature cache, the task 0 a run of
+    # this strategy adopts (see `adopt_pretraining`) instead of training its
+    # own: one that trains task 0 exactly as this strategy does.
+    pretrained_by: type[Strategy]
 
     def __init__(self, ctx: TrainContext):
         self.ctx = ctx
@@ -97,6 +97,11 @@ class Strategy:
     def after_task(self, task: TaskSpec) -> None:
         pass
 
+    def adopt_pretraining(self, producer: Strategy) -> None:
+        """Take the task-0 model (weights and running stats) that `producer`,
+        a `pretrained_by`, trained; stands in for training task 0."""
+        ad.restore_into(self.model.params, producer.model.params.segments)
+
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         """Eval-mode logits over the task's keywords, in `task.keywords` order."""
         raise NotImplementedError
@@ -119,8 +124,6 @@ class Strategy:
 class GlobalHeadStrategy(Strategy):
     """Shared base for strategies training one model with a head over every
     stream keyword; tasks are windows into that global label space."""
-
-    shares_pretraining = True
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
@@ -147,10 +150,6 @@ class GlobalHeadStrategy(Strategy):
 
     def checkpoint_items(self):
         return [("model", self.model.params)]
-
-    def adopt_pretraining(self, producer: Si) -> None:
-        """Take the model (running stats included) of an Si trained on task 0."""
-        ad.restore_into(self.model.params, producer.model.params.segments)
 
     def _grad_on(self, refs: list[ClipRef]) -> np.ndarray:
         """Gradient of the task loss on refs at the current parameters.
@@ -306,7 +305,10 @@ def nr_counts(history_sizes: list[int], xi: float) -> list[int]:
 
 def nr_mix(history: list[list[ClipRef]], d_t: list[ClipRef], xi: float, seed: int,
            task_id: int) -> list[ClipRef]:
-    """Mix a seeded, per-task-stable replay subset of history into D_t."""
+    """Mix a seeded, per-task-stable replay subset of history into D_t.
+    With no history (task 0) there is nothing to mix, and D_t keeps its order."""
+    if not history:
+        return d_t
     counts = nr_counts([len(d) for d in history], xi)
     mixed: list[ClipRef] = []
     for k, (d_k, n_take) in enumerate(zip(history, counts)):
@@ -321,7 +323,6 @@ def nr_mix(history: list[list[ClipRef]], d_t: list[ClipRef], xi: float, seed: in
 
 class NaiveRehearsal(GlobalHeadStrategy):
     name = "nr"
-    shares_pretraining = False  # nr_mix reshuffles task 0 into another data order
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
@@ -580,18 +581,28 @@ class StandAlone(Strategy):
         super().__init__(ctx)
         self.models: dict[int, TcResNet8] = {}
 
-    def before_task(self, task: TaskSpec) -> TrainHandle:
+    def _new_model(self, task: TaskSpec) -> TcResNet8:
+        # task 0 starts from pcl's initial network, so the two train it alike
+        label = "model" if task.is_pretrain else f"standalone|{task.task_id}"
         model = TcResNet8(
             n_mfcc=self.ctx.feature_shape[0],
             n_classes=task.n_keywords,
-            seed=derive_seed(self.ctx.cfg.seed, f"standalone|{task.task_id}"),
+            seed=derive_seed(self.ctx.cfg.seed, label),
         )
         self.models[task.task_id] = model
+        return model
+
+    def before_task(self, task: TaskSpec) -> TrainHandle:
+        model = self._new_model(task)
         return TrainHandle(
             forward=lambda x: model(Tensor(x), training=True),
             params=model.params,
             label_of=_local_labels(task),
         )
+
+    def adopt_pretraining(self, producer: Pcl) -> None:
+        model = self._new_model(self.ctx.stream.task(0))
+        ad.restore_into(model.params, producer.model.params.segments)
 
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         if task_id not in self.models:
@@ -607,6 +618,12 @@ class StandAlone(Strategy):
     def checkpoint_items(self):
         return [(f"model{tid}", self.models[tid].params) for tid in sorted(self.models)]
 
+
+# Task 0 trains one of two ways: with a head over every stream keyword, or
+# with a task-local head from pcl's initial network. An Si trains the first
+# way for all who share it, since it alone also records SI's path integral.
+GlobalHeadStrategy.pretrained_by = Si
+Pcl.pretrained_by = StandAlone.pretrained_by = Pcl
 
 _REGISTRY = {
     "finetune": FineTune,

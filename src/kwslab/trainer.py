@@ -14,8 +14,10 @@ evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
 rows the run records. The `FeatureCache` holds every clip's features before
 the first task, so `epoch_seconds` covers training only. A cache passed
-in by the caller also holds the task 0 trained for the global-head class:
-the runs on it that train task 0 alike train it once and adopt the result.
+in by the caller also holds the task-0 states its runs share: one per
+pretraining class (`Strategy.pretrained_by`), an Si's for the global-head
+strategies and a Pcl's for pcl and standalone. The runs of a class train
+task 0 once and adopt the result.
 A run is single-threaded end to end and bit-reproducible for a fixed config at a
 fixed BLAS thread count; only wall-clock timings differ between repeats. A
 different thread count may change how BLAS sums a GEMM, and with it the last
@@ -39,7 +41,7 @@ from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
-from .strategies import Si, Strategy, TrainContext, make_strategy
+from .strategies import Strategy, TrainContext, make_strategy
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
 
 EVAL_BATCH = 64
@@ -61,15 +63,16 @@ class FeatureCache:
 
     Building the cache extracts every clip. One cache serves every run on
     the same stream; `stream_fingerprint` says which stream that is.
-    `pretrained` holds the task 0 those runs share, by `_pretraining_key`:
-    the Si that trained it, with its training-log and epoch-time rows.
+    `pretrained` holds the task-0 states those runs share, by pretraining
+    class and `_pretraining_key`: the strategy object that trained one (an
+    Si or a Pcl), with its training-log and epoch-time rows.
     """
 
     def __init__(self, stream: TaskStream):
         self.stream = stream
         self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
-        self.pretrained: dict[tuple, tuple[Si, list[dict], list[float]]] = {}
+        self.pretrained: dict[tuple, tuple[Strategy, list[dict], list[float]]] = {}
         for task in stream.tasks:
             for ref in (*task.train, *task.test):
                 self(ref)
@@ -190,15 +193,13 @@ def _adopt_pretraining(
     training_log: list,
     epoch_seconds: list,
 ) -> None:
-    """Get or train task 0 for the config's key, then adopt it.
-
-    An Si trains it: before its first anchor an Si trains as every sharing
-    strategy does, and it alone also records SI's path integral. The timing
-    rows are those of the run that trained it.
-    """
-    key = _pretraining_key(cfg)
+    """Get or train task 0 for the strategy's pretraining class and the
+    config's key, then adopt it. The timing rows are those of the run that
+    trained it."""
+    cls = strategy.pretrained_by
+    key = (cls, _pretraining_key(cfg))
     if key not in pretrained:
-        producer, log, seconds = Si(ctx), [], []
+        producer, log, seconds = cls(ctx), [], []
         _train_task(cfg, ctx, producer, task, log, seconds)
         pretrained[key] = (producer, log, seconds)
     producer, log, seconds = pretrained[key]
@@ -247,7 +248,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
 
     for task in stream.tasks:
         t = task.task_id
-        if task.is_pretrain and strategy.shares_pretraining and shared:
+        if task.is_pretrain and shared:
             _adopt_pretraining(
                 features.pretrained, cfg, ctx, strategy, task, training_log, epoch_seconds
             )

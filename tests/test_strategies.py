@@ -251,6 +251,14 @@ def test_nr_mix_subsets_stable_across_later_tasks():
     assert picked_then == picked_now
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_nr_mix_keeps_task0_in_order(seed):
+    """With no history there is nothing to replay, so task 0 trains on D_t
+    in the order finetune's does."""
+    d_t = kw_refs("a", 7)
+    assert nr_mix([], d_t, xi=0.75, seed=seed, task_id=0) == kw_refs("a", 7)
+
+
 def test_nr_mix_deterministic_and_seed_sensitive():
     d1 = kw_refs("a", 10)
     d_t = kw_refs("b", 5)
@@ -649,6 +657,24 @@ def test_standalone_zero_bwt(micro_run):
     report, _ = micro_run("standalone")
     assert report.bwt == 0.0
     assert report.extra_params > 0  # per-task models beyond the first
+
+
+def task0_segments(out_dir, name):
+    _, segments = ad.load_checkpoint(
+        os.path.join(out_dir, "checkpoints", "task0", f"{name}.ckpt"))
+    return [(s.name, s.trainable, s.tensor.data.tobytes()) for s in segments]
+
+
+@pytest.mark.parametrize("strategy, same_as, names", [
+    ("standalone", "pcl", ("model0", "model")),
+    ("nr", "finetune", ("model", "model")),
+])
+def test_task0_trains_as_its_pretraining_class(micro_run, strategy, same_as, names):
+    """What a sweep's shared task 0 assumes: alone, each strategy ends task 0
+    with the network its pretraining class trains, bit for bit."""
+    _, out = micro_run(strategy)
+    _, reference = micro_run(same_as)
+    assert task0_segments(out, names[0]) == task0_segments(reference, names[1])
 
 
 def test_nr_run_accounts_buffer(micro_run):
