@@ -59,10 +59,10 @@ def cmd_run(args) -> int:
 
 # The features of the last stream this process ran a sweep config on, and
 # the task-0 states its runs share, under the key (seed, stream config) that
-# fixes the stream. A pool process gets
-# only the config, so the cache lives at module level. A sweep runs each
-# stream's configs back to back, so a process extracts a stream once per
-# switch to it and holds one stream's features at a time.
+# fixes the stream. A pool process gets only the config, so the cache lives
+# at module level. A sweep runs each stream's configs back to back, so a
+# process extracts a stream once per switch to it and holds one stream's
+# features at a time.
 _stream_features: dict[tuple, FeatureCache] = {}
 
 

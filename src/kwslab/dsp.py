@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataError, ShapeError, WavFormatError
+from .fileio import replace_on_success
 
 SAMPLE_RATE = 16000
 CLIP_SAMPLES = 16000
@@ -176,7 +177,7 @@ def write_wav(path, samples: np.ndarray) -> None:
     """Write samples in [-1, 1] as 16-bit PCM mono at SAMPLE_RATE."""
     x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    with replace_on_success(path, "wb") as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(SAMPLE_RATE)

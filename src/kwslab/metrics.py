@@ -134,7 +134,7 @@ def reports_equivalent(a: RunReport, b: RunReport) -> bool:
 
 
 def _write_csv(path: str, header: list, rows) -> str:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_on_success(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -236,7 +236,7 @@ def aggregate_comparisons(per_seed: list[list[dict]]) -> list[dict]:
     for name in sorted(by_strategy):
         group = by_strategy[name]
         agg = {"strategy": name}
-        for key in ("acc", "la", "bwt", "acc_plus", "tt_s", "extra_params", "buffer_bytes"):
+        for key in TABLE_COLUMNS[1:]:
             vals = [g[key] for g in group]
             if any(v is None for v in vals):
                 agg[key] = None

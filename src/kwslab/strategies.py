@@ -68,9 +68,9 @@ def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
 
 class Strategy:
     name = "base"
-    # The class that trains, on a shared feature cache, the task 0 a run of
-    # this strategy adopts (see `adopt_pretraining`) instead of training its
-    # own: one that trains task 0 exactly as this strategy does.
+    # The class that trains the task 0 every run of this strategy adopts
+    # (see `adopt_pretraining`): one that trains task 0 exactly as this
+    # strategy would.
     pretrained_by: type[Strategy]
 
     def __init__(self, ctx: TrainContext):
@@ -582,12 +582,10 @@ class StandAlone(Strategy):
         self.models: dict[int, TcResNet8] = {}
 
     def _new_model(self, task: TaskSpec) -> TcResNet8:
-        # task 0 starts from pcl's initial network, so the two train it alike
-        label = "model" if task.is_pretrain else f"standalone|{task.task_id}"
         model = TcResNet8(
             n_mfcc=self.ctx.feature_shape[0],
             n_classes=task.n_keywords,
-            seed=derive_seed(self.ctx.cfg.seed, label),
+            seed=derive_seed(self.ctx.cfg.seed, f"standalone|{task.task_id}"),
         )
         self.models[task.task_id] = model
         return model

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dsp import CLIP_SAMPLES, SAMPLE_RATE, AudioClip, hz_to_mel, mel_to_hz, read_wav, write_wav
 from .errors import CorpusError, UnknownTaskError
+from .fileio import replace_on_success
 from .seeding import derive_seed, rng_for
 
 
@@ -209,7 +210,7 @@ class TaskStream:
         }
 
     def save_manifest(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replace_on_success(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_manifest(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

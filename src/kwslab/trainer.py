@@ -13,11 +13,10 @@ After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
 rows the run records. The `FeatureCache` holds every clip's features before
-the first task, so `epoch_seconds` covers training only. A cache passed
-in by the caller also holds the task-0 states its runs share: one per
-pretraining class (`Strategy.pretrained_by`), an Si's for the global-head
-strategies and a Pcl's for pcl and standalone. The runs of a class train
-task 0 once and adopt the result.
+the first task, so `epoch_seconds` covers training only. It also holds one
+task-0 state per pretraining class (`Strategy.pretrained_by`): an Si's for
+the global-head strategies and a Pcl's for pcl and standalone. The first
+run of a class on a cache trains that state, and every run adopts it.
 A run is single-threaded end to end and bit-reproducible for a fixed config at a
 fixed BLAS thread count; only wall-clock timings differ between repeats. A
 different thread count may change how BLAS sums a GEMM, and with it the last
@@ -63,7 +62,7 @@ class FeatureCache:
 
     Building the cache extracts every clip. One cache serves every run on
     the same stream; `stream_fingerprint` says which stream that is.
-    `pretrained` holds the task-0 states those runs share, by pretraining
+    `pretrained` holds the task-0 states those runs adopt, by pretraining
     class and `_pretraining_key`: the strategy object that trained one (an
     Si or a Pcl), with its training-log and epoch-time rows.
     """
@@ -221,11 +220,10 @@ def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int
 
 def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     """Train and evaluate one config; `features` may be a cache shared with
-    other runs on the same stream. Only on such a cache does a run share its
-    task 0: a cache built here ends with the run."""
+    other runs on the same stream, and is otherwise built here. Task 0 is
+    always adopted from the cache's state for the run's pretraining class."""
     cfg.validate()
     stream = build_stream_from_config(cfg)
-    shared = features is not None
     if features is None:
         features = FeatureCache(stream)
     elif features.stream_fingerprint != stream_fingerprint(stream):
@@ -248,7 +246,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
 
     for task in stream.tasks:
         t = task.task_id
-        if task.is_pretrain and shared:
+        if task.is_pretrain:
             _adopt_pretraining(
                 features.pretrained, cfg, ctx, strategy, task, training_log, epoch_seconds
             )

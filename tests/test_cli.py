@@ -452,13 +452,14 @@ def test_a_pretraining_key_override_trains_its_own_task0(tmp_path, capsys, monke
     assert_runs_match_separate_runs(root, entries, micro_run)
 
 
-@pytest.mark.parametrize("strategy", ["finetune", "si"])
-def test_a_lone_run_trains_its_own_task0(tmp_path, capsys, monkeypatch, strategy):
-    """The feature cache of `kwslab run` ends with the run, so the run trains
-    task 0 on its own strategy and builds no Si to share it."""
+@pytest.mark.parametrize("strategy", SEVEN)
+def test_a_lone_run_adopts_its_class_task0(tmp_path, capsys, monkeypatch, strategy):
+    """`kwslab run` takes task 0 the one way a sweep does: an object of the
+    strategy's pretraining class trains it, once, and the run adopts it."""
     cfg_path = write_micro_config(tmp_path / "run.cfg", strategy=strategy)
     argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    assert pretrainings_of(tmp_path, monkeypatch, argv) == [f"{strategy} {strategy}"]
+    producer = "pcl" if strategy in ("pcl", "standalone") else "si"
+    assert pretrainings_of(tmp_path, monkeypatch, argv) == [f"{strategy} {producer}"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

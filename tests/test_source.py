@@ -71,6 +71,52 @@ def test_config_keys_are_checked_only_in_config(path):
     assert config_key_errors(path.read_text(encoding="utf-8")) == []
 
 
+def write_opens(source: str) -> list[str]:
+    """`open(...)` and `wave.open(...)` calls whose mode may write (any mode
+    but a literal one without "w", "a", "x" or "+"), unless they wrap a file
+    that `replace_on_success` opened. The package writes files only through
+    `fileio.replace_on_success`, so each is whole or absent."""
+    tree = ast.parse(source)
+    handles = {
+        item.optional_vars.id
+        for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.optional_vars, ast.Name)
+        and isinstance(item.context_expr, ast.Call)
+        and ast.unparse(item.context_expr.func).endswith("replace_on_success")
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or ast.unparse(node.func) not in ("open", "wave.open"):
+            continue
+        if node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in handles:
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            found.append((node.lineno, f"{ast.unparse(node.func)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_checker_flags_write_mode_opens():
+    source = (
+        'open(p)\nopen(p, "rb")\nwave.open(p, mode="r")\nos.open(p, flags)\n'
+        'open(p, "w")\nwave.open(fh, "wb")\nopen(p, mode="a")\nopen(p, mode)\nopen(p, "r+")\n'
+        'with replace_on_success(p, "wb") as out, wave.open(out, "wb") as wf:\n    pass\n'
+    )
+    assert write_opens(source) == [
+        "open (line 5)", "wave.open (line 6)", "open (line 7)", "open (line 8)", "open (line 9)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "fileio.py"), ids=lambda p: p.name
+)
+def test_files_are_written_only_through_fileio(path):
+    assert write_opens(path.read_text(encoding="utf-8")) == []
+
+
 def attributes_read(source: str) -> set[str]:
     """Names read as `x.name` anywhere in the source."""
     return {
