@@ -5,6 +5,10 @@ node type, the handful of forward ops the models need (each recording an
 exact reverse-mode closure), a topological backward pass, a flattened
 parameter view, SGD with momentum, and a self-describing checkpoint format.
 
+Inside a `no_grad()` block ops record no graph: their outputs have no
+parents and no closure, so every activation is freed as soon as nothing
+reads it. The arithmetic is the same, so outputs are bit-identical.
+
 All math runs in float64. A single model instance and its graph are
 single-threaded during a training step; distinct instances are independent.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +76,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_grad_enabled = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording a graph; the previous setting returns on exit."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -68,7 +69,9 @@ _stream_features: dict[tuple, FeatureCache] = {}
 
 def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
     """Run one sweep config, in-process or in a pool worker. A failed run
-    returns its error as text, which pickles whatever the error holds."""
+    returns its error as text, which pickles whatever the error holds. Any
+    `Exception` fails only its own run; an unexpected one also prints its
+    traceback. Ctrl-C still stops the sweep."""
     t0 = time.perf_counter()
     key = (cfg.seed, cfg.stream)
     try:
@@ -76,7 +79,9 @@ def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
             _stream_features.clear()
             _stream_features[key] = FeatureCache(build_stream_from_config(cfg))
         result = run_training(cfg, features=_stream_features[key])
-    except (KwslabError, OSError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, (KwslabError, OSError)):
+            traceback.print_exc()
         result = f"{type(exc).__name__}: {exc}"
     return result, time.perf_counter() - t0
 

@@ -287,6 +287,48 @@ def test_first_gradient_is_bitwise_zeros_plus_g_and_a_fresh_array():
         assert t.grad.tobytes() == (expected + g).tobytes()
 
 
+# -- no_grad ------------------------------------------------------------------------
+
+def every_op_output() -> list[Tensor]:
+    """One output of each forward op, every input requiring grad."""
+    rng = np.random.default_rng(11)
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+    x, w, b = leaf(2, 3, 6), leaf(4, 3, 3), leaf(4)
+    gamma, beta = leaf(4), leaf(4)
+    rm, rv = Tensor(np.zeros(4)), Tensor(np.ones(4))
+    conv = ad.conv1d(x, w, b, stride=2)
+    bn = ad.batch_norm(conv, gamma, beta, rm, rv, training=True, update_running=False)
+    h = ad.add(ad.relu(bn), conv)
+    logits = ad.dense(ad.global_avg_pool(h), leaf(5, 4), leaf(5))
+    loss = ad.softmax_cross_entropy(logits, np.array([0, 3]))
+    return [conv, bn, h, logits, loss, ad.tensor_sum(ad.square(ad.scale(logits, 0.5)))]
+
+
+def test_no_grad_ops_record_no_graph_and_compute_the_same_values():
+    recorded = every_op_output()
+    assert all(out.requires_grad and out._parents for out in recorded)
+    with ad.no_grad():
+        outs = every_op_output()
+    for out, ref in zip(outs, recorded):
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+        assert np.array_equal(out.data, ref.data)
+    assert all(out.requires_grad for out in every_op_output())
+
+
+def test_no_grad_restores_the_flag_after_an_error_and_nested_blocks():
+    with pytest.raises(ValueError):
+        with ad.no_grad():
+            raise ValueError("inside")
+    assert ad._grad_enabled is True
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad._grad_enabled is False
+        assert ad._grad_enabled is False
+    assert ad._grad_enabled is True
+
+
 # -- finite-difference gradient checks ----------------------------------------------
 
 def test_conv1d_grads_vs_fd():

@@ -298,6 +298,33 @@ def test_sweep_lists_failed_runs_and_finishes_the_rest(tmp_path, capsys, monkeyp
     assert not (root / "ewc_seed0").exists()
 
 
+def test_sweep_survives_an_unexpected_exception_in_one_run(tmp_path, capsys, monkeypatch):
+    """An error outside KwslabError and OSError fails only its run: the other
+    runs finish and are compared, and its traceback goes to stderr."""
+    path = write_sweep(tmp_path, ["finetune", "ewc", "nr"])
+    real_run = cli.run_training
+
+    def run(cfg, features=None):
+        if cfg.strategy == "ewc":
+            raise ValueError("a bug in one run")
+        return real_run(cfg, features=features)
+
+    monkeypatch.setattr(cli, "run_training", run)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err and "ValueError: a bug in one run" in captured.err
+    assert captured.err.endswith(
+        "error: KwslabError: 1 of 3 runs failed; comparison.json lists them under 'failed'\n"
+    )
+    doc = json.loads((root / "comparison.json").read_text())
+    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
+    assert doc["failed"] == [
+        {"strategy": "ewc", "seed": 0, "error": "ValueError: a bug in one run"}
+    ]
+    assert (root / "nr_seed0" / "report.json").exists()
+
+
 def test_sweep_without_a_finished_run_writes_no_comparison(tmp_path, capsys, monkeypatch):
     path = write_sweep(tmp_path, ["finetune", "nr"])
 

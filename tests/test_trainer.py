@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,8 @@ from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
 from kwslab.metrics import load_report, reports_equivalent, summary
 from kwslab.seeding import rng_for
 from kwslab.strategies import FineTune, Si, TrainContext
-from kwslab.trainer import FeatureCache, evaluate, stream_fingerprint
+from kwslab.taskstream import TaskStream
+from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprint
 
 from conftest import micro_config
 
@@ -60,6 +62,66 @@ def test_evaluate_empty_test_split(ctx):
     task = dataclasses.replace(ctx.stream.task(1), test=[])
     with pytest.raises(EmptyDataError):
         evaluate(lambda x: np.zeros((1, 2)), task, ctx)
+
+
+def test_evaluate_records_no_graph_and_gives_the_graph_forwards_logits(ctx):
+    """Eval forwards run under no_grad: no output has a graph, no grad slot
+    moves, and the logits at EVAL_BATCH are bit for bit those of a forward
+    that records a graph."""
+    model = FineTune(ctx).model
+    task = ctx.stream.task(0)
+    task = dataclasses.replace(task, test=(task.test * EVAL_BATCH)[: EVAL_BATCH + 3])
+    segments = model.params.segments
+    for i, seg in enumerate(segments):
+        seg.tensor.grad = np.full(seg.tensor.shape, float(i))
+    slots = [seg.tensor.grad for seg in segments]
+    outs = []
+
+    def logits(x):
+        outs.append((x, model(Tensor(x), training=False)))
+        return outs[-1][1].data
+
+    evaluate(logits, task, ctx)
+    assert [x.shape[0] for x, _ in outs] == [EVAL_BATCH, 3]
+    for x, out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        graph = model(Tensor(x), training=False)
+        assert graph._parents
+        assert np.array_equal(out.data, graph.data)
+    for i, (seg, slot) in enumerate(zip(segments, slots)):
+        assert seg.tensor.grad is slot
+        assert np.array_equal(slot, np.full(seg.tensor.shape, float(i)))
+
+
+# -- allocator policy --------------------------------------------------------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_allocator_policy_is_set_on_glibc():
+    assert trainer._set_allocator_policy() is True
+
+
+def test_allocator_policy_is_a_no_op_off_glibc(monkeypatch):
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL called off glibc")
+
+    monkeypatch.setattr(trainer.platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+    monkeypatch.setattr(trainer.ctypes, "CDLL", no_cdll)
+    assert trainer._set_allocator_policy() is False
+
+
+def test_feature_cache_sets_the_allocator_policy_before_the_first_clip(monkeypatch):
+    events = []
+    real_load_clip = TaskStream.load_clip
+
+    def load_clip(self, ref):
+        events.append("clip")
+        return real_load_clip(self, ref)
+
+    monkeypatch.setattr(trainer, "_set_allocator_policy", lambda: events.append("policy"))
+    monkeypatch.setattr(TaskStream, "load_clip", load_clip)
+    FeatureCache(trainer.build_stream_from_config(micro_config()))
+    assert events[0] == "policy"
+    assert events.count("policy") == 1 and "clip" in events
 
 
 # -- fingerprints ----------------------------------------------------------------------
