@@ -565,25 +565,30 @@ def load_checkpoint(path) -> tuple[dict, list[Segment]]:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    header = json.loads(blob[off : off + hlen].decode("utf-8"))
-    off += hlen
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-    if header.get("dtype") != CHECKPOINT_DTYPE:
-        raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
-    segments = []
-    for desc in header["segments"]:
-        shape = tuple(desc["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = blob[off : off + count * itemsize]
-        if len(raw) != count * itemsize:
-            raise CheckpointError(f"{path}: truncated payload for segment {desc['name']}")
-        arr = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape).astype(np.float64)
-        segments.append(Segment(desc["name"], Tensor(arr), desc["trainable"]))
-        off += count * itemsize
+    try:
+        (hlen,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        header = json.loads(blob[off : off + hlen].decode("utf-8"))
+        off += hlen
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
+        if header.get("dtype") != CHECKPOINT_DTYPE:
+            raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}")
+        itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
+        segments = []
+        for desc in header["segments"]:
+            shape = tuple(desc["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            raw = blob[off : off + count * itemsize]
+            if len(raw) != count * itemsize:
+                raise CheckpointError(f"{path}: truncated payload for segment {desc['name']}")
+            arr = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape).astype(np.float64)
+            segments.append(Segment(desc["name"], Tensor(arr), desc["trainable"]))
+            off += count * itemsize
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
     return header.get("meta", {}), segments
 
 

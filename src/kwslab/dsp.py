@@ -37,7 +37,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
-    label: str = ""
     source_id: str = ""
 
 
@@ -61,7 +60,7 @@ def pad_or_trim(clip: AudioClip) -> AudioClip:
         y = np.concatenate([x, np.zeros(CLIP_SAMPLES - x.size)])
     else:
         y = x.copy()
-    return AudioClip(y, clip.sample_rate, clip.label, clip.source_id)
+    return AudioClip(y, clip.sample_rate, clip.source_id)
 
 
 def hz_to_mel(f):
@@ -145,7 +144,7 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     return coeffs
 
 
-def read_wav(path, label: str = "", source_id: str = "") -> AudioClip:
+def read_wav(path, source_id: str = "") -> AudioClip:
     """Read a RIFF PCM WAV file: 16-bit signed little-endian, mono, 16 kHz.
 
     Anything else is rejected with WavFormatError.
@@ -170,7 +169,7 @@ def read_wav(path, label: str = "", source_id: str = "") -> AudioClip:
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
         raise EmptyDataError(f"{path}: WAV file holds no samples")
-    return AudioClip(samples, SAMPLE_RATE, label, source_id or str(path))
+    return AudioClip(samples, SAMPLE_RATE, source_id or str(path))
 
 
 def write_wav(path, samples: np.ndarray) -> None:

@@ -68,9 +68,9 @@ def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
 
 class Strategy:
     name = "base"
-    # The class that trains the task 0 every run of this strategy adopts
-    # (see `adopt_pretraining`): one that trains task 0 exactly as this
-    # strategy would.
+    # The class that trains the task 0 every run of this strategy adopts, by
+    # restoring its task-0 handle's segments by name: one that trains task 0
+    # exactly as this strategy would.
     pretrained_by: type[Strategy]
 
     def __init__(self, ctx: TrainContext):
@@ -96,11 +96,6 @@ class Strategy:
 
     def after_task(self, task: TaskSpec) -> None:
         pass
-
-    def adopt_pretraining(self, producer: Strategy) -> None:
-        """Take the task-0 model (weights and running stats) that `producer`,
-        a `pretrained_by`, trained; stands in for training task 0."""
-        ad.restore_into(self.model.params, producer.model.params.segments)
 
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         """Eval-mode logits over the task's keywords, in `task.keywords` order."""
@@ -250,40 +245,39 @@ class Ewc(AnchoredPenalty):
 
 
 class Si(AnchoredPenalty):
-    """Importance from the path integral of every step (Zenke et al. 2017)."""
+    """Importance from the path integral of every step (Zenke et al. 2017),
+    kept as a non-trainable segment of every task's handle, as batch norm's
+    running statistics are: restoring a handle by name carries it over."""
 
     name = "si"
 
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
         self.eps = ctx.cfg.si.eps
-        self.path = np.zeros(self.model.params.trainable_count)
+        self.path = Segment("si_path", Tensor(np.zeros(self.omega.size)), trainable=False)
         self.task_start = self.model.params.flatten()
-        self._steps = 0
+
+    def before_task(self, task: TaskSpec) -> TrainHandle:
+        handle = super().before_task(task)
+        handle.params = ParameterVector([*handle.params.segments, self.path])
+        return handle
 
     def post_step(self, g_kws: np.ndarray, delta: np.ndarray) -> None:
-        si_accumulate(self.path, g_kws, delta)
-        self._steps += 1
-
-    def adopt_pretraining(self, producer: Si) -> None:
-        super().adopt_pretraining(producer)
-        self.path[:] = producer.path
-        self._steps = producer._steps
+        si_accumulate(self.path.tensor.data, g_kws, delta)
 
     def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
         """The task's path integral; also starts the next task's path."""
-        gain = np.zeros_like(theta)
-        if self._steps == 0:
+        path = self.path.tensor.data
+        if not path.any():
             warnings.warn(
-                f"consolidating task {task.task_id} with no accumulated steps; "
+                f"consolidating task {task.task_id} with a zero path integral; "
                 "importance left unchanged",
                 RuntimeWarning,
             )
-        else:
-            si_consolidate(gain, self.path, theta - self.task_start, self.eps)
-        self.path[:] = 0.0
+        gain = np.zeros_like(theta)
+        si_consolidate(gain, path, theta - self.task_start, self.eps)
+        path[:] = 0.0
         self.task_start = theta
-        self._steps = 0
         return gain
 
 
@@ -581,26 +575,18 @@ class StandAlone(Strategy):
         super().__init__(ctx)
         self.models: dict[int, TcResNet8] = {}
 
-    def _new_model(self, task: TaskSpec) -> TcResNet8:
+    def before_task(self, task: TaskSpec) -> TrainHandle:
         model = TcResNet8(
             n_mfcc=self.ctx.feature_shape[0],
             n_classes=task.n_keywords,
             seed=derive_seed(self.ctx.cfg.seed, f"standalone|{task.task_id}"),
         )
         self.models[task.task_id] = model
-        return model
-
-    def before_task(self, task: TaskSpec) -> TrainHandle:
-        model = self._new_model(task)
         return TrainHandle(
             forward=lambda x: model(Tensor(x), training=True),
             params=model.params,
             label_of=_local_labels(task),
         )
-
-    def adopt_pretraining(self, producer: Pcl) -> None:
-        model = self._new_model(self.ctx.stream.task(0))
-        ad.restore_into(model.params, producer.model.params.segments)
 
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         if task_id not in self.models:

@@ -140,7 +140,6 @@ def render_clip(cfg: SynthConfig, seed: int, template_idx: int, clip_idx: int) -
     return AudioClip(
         samples=x,
         sample_rate=SAMPLE_RATE,
-        label=synth_keyword_name(template_idx),
         source_id=f"synth:{template_idx}:{clip_idx}",
     )
 
@@ -184,8 +183,7 @@ class TaskStream:
             _, tmpl, clip = ref.uri.split(":")
             return render_clip(self.synth, self.seed, int(tmpl), int(clip))
         assert self.root is not None
-        clip = read_wav(os.path.join(self.root, ref.uri), label=ref.keyword, source_id=ref.uri)
-        return clip
+        return read_wav(os.path.join(self.root, ref.uri), source_id=ref.uri)
 
     # -- manifest -----------------------------------------------------------
 

@@ -16,7 +16,8 @@ rows the run records. The `FeatureCache` holds every clip's features before
 the first task, so `epoch_seconds` covers training only. It also holds one
 task-0 state per pretraining class (`Strategy.pretrained_by`): an Si's for
 the global-head strategies and a Pcl's for pcl and standalone. The first
-run of a class on a cache trains that state, and every run adopts it.
+run of a class on a cache trains it and keeps a copy of its task-0 handle's
+named segments; every run restores them into its own task-0 handle.
 A run is single-threaded end to end and bit-reproducible for a fixed config at a
 fixed BLAS thread count; only wall-clock timings differ between repeats. A
 different thread count may change how BLAS sums a GEMM, and with it the last
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Sgd
+from .autodiff import Segment, Sgd, Tensor
 from .config import RunConfig, config_hash, config_to_flat
 from .dsp import mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
@@ -89,8 +90,9 @@ class FeatureCache:
     and each sweep worker process. One cache serves every run on the same
     stream; `stream_fingerprint` says which stream that is. `pretrained`
     holds the task-0 states those runs adopt, by pretraining class and
-    `_pretraining_key`: the strategy object that trained one (an Si or a
-    Pcl), with its training-log and epoch-time rows.
+    `_pretraining_key`: a copy of the trained task-0 handle's segments
+    (weights, running statistics and, for an Si, the path integral) with
+    the training-log and epoch-time rows.
     """
 
     def __init__(self, stream: TaskStream):
@@ -98,7 +100,7 @@ class FeatureCache:
         self.stream = stream
         self.stream_fingerprint = stream_fingerprint(stream)
         self._cache: dict[str, np.ndarray] = {}
-        self.pretrained: dict[tuple, tuple[Strategy, list[dict], list[float]]] = {}
+        self.pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
         for task in stream.tasks:
             for ref in (*task.train, *task.test):
                 self(ref)
@@ -222,16 +224,18 @@ def _adopt_pretraining(
     epoch_seconds: list,
 ) -> None:
     """Get or train task 0 for the strategy's pretraining class and the
-    config's key, then adopt it. The timing rows are those of the run that
-    trained it."""
+    config's key, then restore it into the strategy's task-0 handle by
+    segment name. The timing rows are those of the run that trained it."""
     cls = strategy.pretrained_by
     key = (cls, _pretraining_key(cfg))
     if key not in pretrained:
         producer, log, seconds = cls(ctx), [], []
         _train_task(cfg, ctx, producer, task, log, seconds)
-        pretrained[key] = (producer, log, seconds)
-    producer, log, seconds = pretrained[key]
-    strategy.adopt_pretraining(producer)
+        state = [Segment(s.name, Tensor(s.tensor.data.copy()), s.trainable)
+                 for s in producer.before_task(task).params.segments]
+        pretrained[key] = (state, log, seconds)
+    state, log, seconds = pretrained[key]
+    ad.restore_into(strategy.before_task(task).params, state)
     training_log.extend(dict(row) for row in log)
     epoch_seconds.extend(seconds)
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import gradcheck
 import oracles
 from kwslab import autodiff as ad
 from kwslab.autodiff import (
+    CHECKPOINT_MAGIC,
     ParameterVector,
     Segment,
     Sgd,
@@ -567,6 +569,24 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
     truncated.write_bytes(blob[:-4])
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+
+
+def _with_header(head: bytes) -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head
+
+
+@pytest.mark.parametrize("name, blob", [
+    ("short_length", CHECKPOINT_MAGIC + b"\x00"),
+    ("not_json", _with_header(b"{nope")),
+    ("no_segments", _with_header(b'{"dtype": "<f8", "version": 1}')),
+    ("no_shape", _with_header(b'{"dtype": "<f8", "segments": [{"name": "w"}], "version": 1}')),
+    ("not_an_object", _with_header(b"[]")),
+])
+def test_checkpoint_rejects_a_malformed_header(tmp_path, name, blob):
+    path = tmp_path / f"{name}.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"{name}.ckpt"):
+        load_checkpoint(path)
 
 
 def test_restore_into_checks_names_and_shapes(tmp_path):

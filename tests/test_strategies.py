@@ -469,9 +469,27 @@ def test_si_post_step_feeds_path(ctx):
     n = si.model.params.trainable_count
     g = np.full(n, 0.5)
     si.post_step(g, np.full(n, -0.2))
-    assert si._steps == 1
     assert si.omega.sum() == 0.0
-    np.testing.assert_allclose(si.path, 0.1)
+    np.testing.assert_allclose(si.path.tensor.data, 0.1)
+
+
+def test_si_consolidate_with_a_zero_path_warns(ctx):
+    """Steps that add nothing to the path integral leave importance as it is."""
+    si = Si(ctx)
+    n = si.model.params.trainable_count
+    si.post_step(np.zeros(n), np.full(n, -0.2))
+    si.post_step(np.full(n, 0.5), np.zeros(n))
+    omega = si.omega.copy()
+    with pytest.warns(RuntimeWarning, match="zero path integral"):
+        si.after_task(ctx.stream.task(0))
+    assert si.omega.tobytes() == omega.tobytes()
+
+
+def test_si_path_is_a_non_trainable_segment_of_every_handle(ctx):
+    si = Si(ctx)
+    assert not si.path.trainable
+    for task in ctx.stream.tasks:
+        assert si.before_task(task).params.segments == [*si.model.params.segments, si.path]
 
 
 def test_gem_buffer_quota_and_budget(ctx):

@@ -9,12 +9,12 @@ import pytest
 
 from kwslab import autodiff as ad
 from kwslab import strategies, trainer
-from kwslab.autodiff import Sgd, Tensor
+from kwslab.autodiff import Segment, Sgd, Tensor
 from kwslab.config import STRATEGIES
 from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
 from kwslab.metrics import load_report, reports_equivalent, summary
 from kwslab.seeding import rng_for
-from kwslab.strategies import FineTune, Si, TrainContext
+from kwslab.strategies import FineTune, Si, Strategy, TrainContext
 from kwslab.taskstream import TaskStream
 from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprint
 
@@ -141,6 +141,28 @@ def test_run_rejects_feature_cache_of_another_stream():
     other = FeatureCache(trainer.build_stream_from_config(micro_config(seed=1)))
     with pytest.raises(StreamMismatchError):
         trainer.run(micro_config(strategy="finetune"), features=other)
+
+
+def test_pretrained_task0_states_are_copied_segments():
+    """The cache keeps each class's task 0 as the named arrays a checkpoint
+    holds, with no grad slot and no strategy object: after a lone run, and
+    after every strategy has run on the cache."""
+    features = FeatureCache(trainer.build_stream_from_config(micro_config()))
+
+    def states():
+        for entry in features.pretrained.values():
+            assert not any(isinstance(part, Strategy) for part in entry)
+            state = entry[0]
+            assert isinstance(state, list)
+            assert all(isinstance(seg, Segment) and seg.tensor.grad is None for seg in state)
+            yield [seg.name for seg in state]
+
+    trainer.run(micro_config(strategy="si"), features=features)
+    (si_names,) = states()
+    assert si_names[-1] == "si_path"
+    for strategy in STRATEGIES:
+        trainer.run(micro_config(strategy=strategy), features=features)
+    assert len(list(states())) == 2
 
 
 def test_features_are_extracted_before_the_first_task(monkeypatch):
