@@ -18,10 +18,11 @@ task-0 state per pretraining class (`Strategy.pretrained_by`): an Si's for
 the global-head strategies and a Pcl's for pcl and standalone. The first
 run of a class on a cache trains it and keeps a copy of its task-0 handle's
 named segments; every run restores them into its own task-0 handle.
-A run is single-threaded end to end and bit-reproducible for a fixed config at a
-fixed BLAS thread count; only wall-clock timings differ between repeats. A
-different thread count may change how BLAS sums a GEMM, and with it the last
-bits of the numbers.
+Feature extraction runs on every CPU the process may use; training and
+eval are single-threaded. A run is bit-reproducible for a fixed config at a
+fixed BLAS thread count, whatever the CPU count; only wall-clock timings
+differ between repeats. A different BLAS thread count may change how BLAS
+sums a GEMM, and with it the last bits of the numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import hashlib
 import json
 import os
 import platform
+import threading
 import time
 from typing import Callable
 
@@ -61,18 +63,23 @@ def stream_fingerprint(stream: TaskStream) -> str:
 
 
 # (mallopt parameter from glibc's malloc.h, value): M_MMAP_THRESHOLD 32 MiB
-# and M_TRIM_THRESHOLD 256 MiB, the two values measured. Setting only one of
-# them does not stop the page faults.
-_MALLOC_POLICY = ((-3, 32 << 20), (-1, 256 << 20))
+# and M_TRIM_THRESHOLD 256 MiB, the two values measured (setting only one of
+# them does not stop the page faults), and M_ARENA_MAX 1, so the extraction
+# threads share the main arena instead of each keeping its own.
+_MALLOC_POLICY = ((-3, 32 << 20), (-1, 256 << 20), (-8, 1))
 
 
 def _set_allocator_policy() -> bool:
-    """Keep freed memory in the process between steps. glibc's defaults hand
-    each step's large temporaries (MFCC frames, conv and BN activations)
-    back to the kernel, and the next step page-faults them in again. On
-    glibc this sets an mmap threshold of 32 MiB and a trim threshold of
-    256 MiB for the whole process; elsewhere it does nothing. No computed
-    number depends on it. Returns whether both `mallopt` calls succeeded."""
+    """Keep freed memory in the process between steps, in one arena. glibc's
+    defaults hand each step's large temporaries (MFCC frames, conv and BN
+    activations) back to the kernel, and the next step page-faults them in
+    again. On glibc this sets an mmap threshold of 32 MiB and a trim
+    threshold of 256 MiB for the whole process, and caps it at one malloc
+    arena: without the cap each `FeatureCache` extraction thread gets an
+    arena of its own that keeps its freed MFCC temporaries after the
+    threads end, which raised a WAV-corpus run's peak RSS by 2-3 MB.
+    Elsewhere it does nothing. No computed number depends on it. Returns
+    whether every `mallopt` call succeeded."""
     if platform.libc_ver()[0] != "glibc":
         return False
     mallopt = ctypes.CDLL(None).mallopt
@@ -81,15 +88,32 @@ def _set_allocator_policy() -> bool:
     return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class FeatureCache:
     """MFCC features of a stream's train and test clips, keyed by clip URI.
 
     Building the cache first sets the process's allocator policy
-    (`_set_allocator_policy`), then extracts every clip. Every run path
-    builds its features here before its first step: a lone `run`, a sweep
-    and each sweep worker process. One cache serves every run on the same
-    stream; `stream_fingerprint` says which stream that is. `pretrained`
-    holds the task-0 states those runs adopt, by pretraining class and
+    (`_set_allocator_policy`), then extracts every clip into one float64
+    block of shape [n_clips, n_mfcc, n_frames], in stream order. The
+    calling thread and one pool thread per further usable CPU each take a
+    stripe of the rows; `mfcc` is a pure function of its clip, so every row
+    is bit for bit what a one-at-a-time extraction gives, whatever the CPU
+    count. The threads are joined before the constructor returns, so
+    training, eval and a later `--jobs N` fork run on one thread. If clips
+    fail, the first failing one in stream order raises its own error.
+
+    Every run path builds its features here before its first step: a lone
+    `run`, a sweep and each sweep worker process. One cache serves every run
+    on the same stream; `stream_fingerprint` says which stream that is, and
+    a clip outside it is a `StreamMismatchError`. `pretrained` holds the
+    task-0 states those runs adopt, by pretraining class and
     `_pretraining_key`: a copy of the trained task-0 handle's segments
     (weights, running statistics and, for an Si, the path integral) with
     the training-log and epoch-time rows.
@@ -99,20 +123,68 @@ class FeatureCache:
         _set_allocator_policy()
         self.stream = stream
         self.stream_fingerprint = stream_fingerprint(stream)
-        self._cache: dict[str, np.ndarray] = {}
         self.pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
+        self._row: dict[str, int] = {}
+        refs: list[ClipRef] = []
         for task in stream.tasks:
             for ref in (*task.train, *task.test):
-                self(ref)
+                if ref.uri not in self._row:
+                    self._row[ref.uri] = len(refs)
+                    refs.append(ref)
+        first = self._extract(refs[0])
+        self._block = np.empty((len(refs), *first.shape))
+        self._block[0] = first
+        self._extract_rows(refs, max(1, min(_usable_cpus(), len(refs) - 1)))
+        self._block.flags.writeable = False
+
+    def _extract(self, ref: ClipRef) -> np.ndarray:
+        return mfcc(pad_or_trim(self.stream.load_clip(ref))).T  # [n_mfcc, n_frames]
+
+    def _extract_rows(self, refs: list[ClipRef], stripes: int) -> None:
+        """Fill rows 1.. of the block: stripe s takes rows 1+s, 1+s+stripes,
+        ...; the calling thread runs stripe 0. A stripe stops at a row past
+        the earliest failing row recorded so far, so every row before the
+        first failure in stream order is extracted and that failure is the
+        one raised."""
+        stop_after, error = len(refs), None  # the earliest failing row so far
+        lock = threading.Lock()
+
+        def stripe(s: int) -> None:
+            nonlocal stop_after, error
+            for i in range(1 + s, len(refs), stripes):
+                if i > stop_after:
+                    return
+                try:
+                    self._block[i] = self._extract(refs[i])
+                except Exception as exc:
+                    with lock:
+                        if i < stop_after:
+                            stop_after, error = i, exc
+                    return
+
+        pool = [threading.Thread(target=stripe, args=(s,), daemon=True)
+                for s in range(1, stripes)]
+        for thread in pool:
+            thread.start()
+        try:
+            stripe(0)
+        except BaseException:  # interrupted: the pool stops at its next clip
+            stop_after = 0
+            raise
+        finally:
+            for thread in pool:
+                thread.join()
+        if error is not None:
+            raise error
 
     def __call__(self, ref: ClipRef) -> np.ndarray:
-        hit = self._cache.get(ref.uri)
-        if hit is None:
-            clip = pad_or_trim(self.stream.load_clip(ref))
-            feat = mfcc(clip)
-            hit = np.ascontiguousarray(feat.T)  # [n_mfcc, n_frames]
-            self._cache[ref.uri] = hit
-        return hit
+        row = self._row.get(ref.uri)
+        if row is None:
+            raise StreamMismatchError(
+                f"clip {ref.uri!r} is not in the feature cache of stream "
+                f"{self.stream_fingerprint}"
+            )
+        return self._block[row]
 
 
 def _chunks(seq, size: int):

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import os
 import platform
+import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -11,11 +14,11 @@ from kwslab import autodiff as ad
 from kwslab import strategies, trainer
 from kwslab.autodiff import Segment, Sgd, Tensor
 from kwslab.config import STRATEGIES
-from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError
+from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError, WavFormatError
 from kwslab.metrics import load_report, reports_equivalent, summary
 from kwslab.seeding import rng_for
 from kwslab.strategies import FineTune, Si, Strategy, TrainContext
-from kwslab.taskstream import TaskStream
+from kwslab.taskstream import ClipRef, SynthConfig, TaskStream, materialize_synth
 from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprint
 
 from conftest import micro_config
@@ -206,6 +209,123 @@ def test_feature_cache_is_complete_when_built(monkeypatch):
     calls.clear()
     trainer.run(cfg, features=cache)
     assert not calls
+
+
+def _stream_refs(stream):
+    """Each clip of the stream once, in stream order."""
+    seen = {}
+    for task in stream.tasks:
+        for ref in (*task.train, *task.test):
+            seen.setdefault(ref.uri, ref)
+    return list(seen.values())
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(scope="module")
+def wav_corpus(tmp_path_factory):
+    """A WAV corpus with the micro stream's shape."""
+    root = tmp_path_factory.mktemp("wav_corpus")
+    materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=root)
+    return str(root)
+
+
+def _dir_config(corpus):
+    return micro_config(**{"stream.source": "dir", "stream.corpus_dir": corpus})
+
+
+@pytest.mark.parametrize("source", ["synth", "dir"])
+def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, wav_corpus, source):
+    _set_cpus(monkeypatch, 4)
+    cfg = micro_config() if source == "synth" else _dir_config(wav_corpus)
+    stream = trainer.build_stream_from_config(cfg)
+    cache = FeatureCache(stream)
+    refs = _stream_refs(stream)
+    assert cache._block.shape[0] == len(refs)
+    for ref in refs:
+        expected = trainer.mfcc(trainer.pad_or_trim(stream.load_clip(ref))).T
+        assert np.array_equal(cache(ref), expected)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_extraction_threads_follow_the_cpu_count_and_are_joined(monkeypatch, cpus):
+    threads = set()
+    real_mfcc = trainer.mfcc
+
+    def recording_mfcc(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_mfcc(*args, **kwargs)
+
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(trainer, "mfcc", recording_mfcc)
+    before = threading.active_count()
+    FeatureCache(trainer.build_stream_from_config(micro_config()))
+    assert threading.active_count() == before
+    if cpus == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert len(threads) > 1
+
+
+def test_cpu_count_falls_back_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(trainer.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(trainer.os, "cpu_count", lambda: 3)
+    assert trainer._usable_cpus() == 3
+    monkeypatch.setattr(trainer.os, "cpu_count", lambda: None)
+    assert trainer._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("cpus, first_to_fail", [(1, None), (4, 5), (4, 6)])
+def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus, first_to_fail):
+    """Rows 5 and 6 are corrupt; at 4 CPUs they fall in different stripes,
+    both loads start before either fails, and `first_to_fail` fails first
+    in time. Row 5's error is raised either way."""
+    materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=tmp_path)
+    stream = trainer.build_stream_from_config(_dir_config(str(tmp_path)))
+    refs = _stream_refs(stream)
+    corrupt = [refs[5].uri, refs[6].uri]
+    for uri in corrupt:
+        with open(os.path.join(tmp_path, uri), "wb") as fh:
+            fh.write(b"not a wav file")
+    started = {uri: threading.Event() for uri in corrupt}
+    failed = {uri: threading.Event() for uri in corrupt}
+    real_load_clip = TaskStream.load_clip
+
+    def ordered_load_clip(self, ref):
+        if first_to_fail is not None and ref.uri in corrupt:
+            other = corrupt[1 - corrupt.index(ref.uri)]
+            started[ref.uri].set()
+            assert started[other].wait(10)
+            if ref.uri != refs[first_to_fail].uri:
+                assert failed[other].wait(10)
+            try:
+                return real_load_clip(self, ref)
+            finally:
+                failed[ref.uri].set()
+        return real_load_clip(self, ref)
+
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(TaskStream, "load_clip", ordered_load_clip)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.raises(WavFormatError, match=re.escape(refs[5].uri)):
+            FeatureCache(stream)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    if first_to_fail is not None:
+        assert all(event.is_set() for event in failed.values())
+
+
+def test_a_clip_outside_the_stream_is_a_stream_mismatch(ctx):
+    outside = ClipRef(keyword="kw99", uri="synth:99:0")
+    with pytest.raises(StreamMismatchError) as err:
+        ctx.features(outside)
+    assert outside.uri in str(err.value) and ctx.features.stream_fingerprint in str(err.value)
 
 
 # -- single-task training loop ----------------------------------------------------------
