@@ -20,16 +20,9 @@ from .taskstream import StreamLayout, SynthConfig
 STRATEGIES = ("finetune", "ewc", "si", "nr", "gem", "pcl", "standalone")
 
 _STRATEGY_ALIASES = {
-    "finetune": "finetune",
     "fine-tune": "finetune",
     "ft": "finetune",
-    "ewc": "ewc",
-    "si": "si",
-    "nr": "nr",
     "rehearsal": "nr",
-    "gem": "gem",
-    "pcl": "pcl",
-    "standalone": "standalone",
     "stand-alone": "standalone",
 }
 
@@ -139,11 +132,12 @@ def _coerce(field_name: str, raw, kind):
 
 def normalize_strategy(name: str) -> str:
     key = str(name).strip().lower().replace("_", "-")
-    if key not in _STRATEGY_ALIASES:
+    key = _STRATEGY_ALIASES.get(key, key)
+    if key not in STRATEGIES:
         raise ConfigError(
             "strategy", f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}"
         )
-    return _STRATEGY_ALIASES[key]
+    return key
 
 
 _BELOW_NYQUIST = f"(0, {SAMPLE_RATE // 2})"
@@ -164,7 +158,7 @@ _KEY_TABLE = {
     "stream.keywords_per_task": (("stream", "layout", "keywords_per_task"), int, "[2, inf)"),
     "stream.train_frac": (("stream", "layout", "train_frac"), float, "(0, 1)"),
     "synth.keywords": (("stream", "synth", "n_keywords"), int, "[1, inf)"),
-    "synth.clips": (("stream", "synth", "clips_per_keyword"), int, "[1, inf)"),
+    "synth.clips": (("stream", "synth", "clips_per_keyword"), int, "[2, inf)"),
     "synth.snr_db": (("stream", "synth", "snr_db"), float, "(-inf, inf]"),  # inf = noiseless
     "synth.f_lo": (("stream", "synth", "f_lo"), float, _BELOW_NYQUIST),
     "synth.f_hi": (("stream", "synth", "f_hi"), float, _BELOW_NYQUIST),

@@ -6,6 +6,10 @@ are fixed module constants (conventional KWS values), so the window,
 filterbank and DCT are built once at import and shared as read-only arrays.
 Everything else is a pure function of the input clip, so results are
 bitwise reproducible and safe to call from multiple threads.
+
+Every clip the package makes is SAMPLE_RATE audio (`read_wav` rejects any
+other rate), and a clip padded or trimmed to CLIP_SAMPLES gives one feature
+row of FEATURE_SHAPE, the layout of every feature block and model input.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ FMAX_HZ = SAMPLE_RATE / 2.0  # Nyquist
 
 @dataclass
 class AudioClip:
-    """One mono audio clip with samples scaled into [-1, 1]."""
+    """One mono SAMPLE_RATE audio clip with samples scaled into [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
     source_id: str = ""
 
 
@@ -47,6 +50,10 @@ def num_frames(n_samples: int) -> int:
             f"clip of {n_samples} samples is shorter than one frame ({FRAME_LEN})"
         )
     return 1 + (n_samples - FRAME_LEN) // HOP_LEN
+
+
+# [N_MFCC, n_frames] of one clip, the row layout of every feature block
+FEATURE_SHAPE = (N_MFCC, num_frames(CLIP_SAMPLES))
 
 
 def pad_or_trim(clip: AudioClip) -> AudioClip:
@@ -60,7 +67,7 @@ def pad_or_trim(clip: AudioClip) -> AudioClip:
         y = np.concatenate([x, np.zeros(CLIP_SAMPLES - x.size)])
     else:
         y = x.copy()
-    return AudioClip(y, clip.sample_rate, clip.source_id)
+    return AudioClip(y, clip.source_id)
 
 
 def hz_to_mel(f):
@@ -117,8 +124,6 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     The projection steps use einsum with a fixed summation order instead of
     BLAS so the output is bitwise identical regardless of thread count.
     """
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ShapeError(f"clip sample rate {clip.sample_rate} != {SAMPLE_RATE}")
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyDataError(f"clip {clip.source_id!r} has no samples")
@@ -147,7 +152,7 @@ def mfcc(clip: AudioClip) -> np.ndarray:
 def read_wav(path, source_id: str = "") -> AudioClip:
     """Read a RIFF PCM WAV file: 16-bit signed little-endian, mono, 16 kHz.
 
-    Anything else is rejected with WavFormatError.
+    Anything else, a file cut short included, is rejected with WavFormatError.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -164,12 +169,14 @@ def read_wav(path, source_id: str = "") -> AudioClip:
                     f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz"
                 )
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: not a valid RIFF WAV file ({exc})") from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: a header cut short
+        raise WavFormatError(f"{path}: not a valid RIFF WAV file ({exc or 'truncated'})") from exc
+    if len(raw) % 2:
+        raise WavFormatError(f"{path}: data chunk ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
         raise EmptyDataError(f"{path}: WAV file holds no samples")
-    return AudioClip(samples, SAMPLE_RATE, source_id or str(path))
+    return AudioClip(samples, source_id or str(path))
 
 
 def write_wav(path, samples: np.ndarray) -> None:

@@ -10,7 +10,6 @@ class ConfigError(KwslabError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        self.message = message
         super().__init__(f"{field}: {message}")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterVector, Segment, Tensor
+from .dsp import N_MFCC
 from .errors import ConfigError, ShapeError
 
 
@@ -143,7 +144,7 @@ class TcResNet8(Model):
     STEM_KERNEL = 9
     BLOCK_KERNEL = 3
 
-    def __init__(self, n_mfcc: int = 40, n_classes: int = 15, seed: int = 0):
+    def __init__(self, n_mfcc: int = N_MFCC, n_classes: int = 15, seed: int = 0):
         super().__init__()
         if n_mfcc < 1:
             raise ConfigError("model.n_mfcc", f"must be >= 1, got {n_mfcc}")

@@ -7,14 +7,15 @@ gradient in one call per step (or None), post_batch may rewrite the gradient,
 post_step observes the applied update, after_task consolidates state, and
 eval_logits routes evaluation for any learned task. Hooks a strategy does not
 need keep their identity defaults. Every route is one forward that states its
-batch-norm mode.
+batch-norm mode. A strategy reports what it holds beyond the base network
+through one hook, accounting. The feature layout is `dsp`'s to decide.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,10 +23,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterVector, Segment, Tensor
 from .config import RunConfig, scaling_config
+from .dsp import FEATURE_SHAPE
 from .errors import EmptyDataError, UnknownTaskError
 from .models import Column, SubNet, TcResNet8, count_parameters, instantiate_subnet
 from .seeding import derive_seed, rng_for
 from .taskstream import ClipRef, TaskSpec, TaskStream
+
+# bytes of one clip's features, as a rehearsal buffer would store them
+SAMPLE_BYTES = math.prod(FEATURE_SHAPE) * np.dtype(np.float64).itemsize
 
 
 @dataclass
@@ -34,7 +39,7 @@ class TrainContext:
 
     cfg: RunConfig
     stream: TaskStream
-    features: Callable[[ClipRef], np.ndarray]  # [n_mfcc, n_frames] float64
+    features: Callable[[ClipRef], np.ndarray]  # one FEATURE_SHAPE float64 row
 
     def batch(self, refs: list[ClipRef], label_of: Callable[[ClipRef], int]):
         if not refs:
@@ -42,14 +47,6 @@ class TrainContext:
         x = np.stack([self.features(r) for r in refs])
         y = np.array([label_of(r) for r in refs], dtype=np.int64)
         return x, y
-
-    @property
-    def feature_shape(self) -> tuple[int, int]:
-        return self.features(self.stream.tasks[0].train[0]).shape
-
-    @property
-    def bytes_per_sample(self) -> int:
-        return self.features(self.stream.tasks[0].train[0]).nbytes
 
 
 @dataclass
@@ -60,6 +57,23 @@ class TrainHandle:
     params: ParameterVector
     label_of: Callable[[ClipRef], int]
     lr_scale: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Accounting:
+    """What a strategy holds beyond the base network: trainable parameters,
+    bytes of stored feature data, and its own report fields."""
+
+    extra_params: int = 0
+    buffer_bytes: int = 0
+    extras: dict = field(default_factory=dict)
+
+
+def _model_handle(model: TcResNet8, label_of: Callable[[ClipRef], int]) -> TrainHandle:
+    """Train the whole of `model`."""
+    return TrainHandle(
+        forward=lambda x: model(Tensor(x), training=True), params=model.params, label_of=label_of
+    )
 
 
 def _local_labels(task: TaskSpec) -> Callable[[ClipRef], int]:
@@ -103,17 +117,11 @@ class Strategy:
 
     # -- accounting ---------------------------------------------------------
 
-    def extra_params(self) -> int:
-        return 0
-
-    def buffer_bytes(self) -> int:
-        return 0
+    def accounting(self) -> Accounting:
+        return Accounting()
 
     def checkpoint_items(self) -> list[tuple[str, ParameterVector]]:
         return []
-
-    def report_extras(self) -> dict:
-        return {}
 
 
 class GlobalHeadStrategy(Strategy):
@@ -123,20 +131,11 @@ class GlobalHeadStrategy(Strategy):
     def __init__(self, ctx: TrainContext):
         super().__init__(ctx)
         stream = ctx.stream
-        n_mfcc = ctx.feature_shape[0]
-        self.model = TcResNet8(
-            n_mfcc=n_mfcc,
-            n_classes=stream.n_keywords,
-            seed=derive_seed(ctx.cfg.seed, "model"),
-        )
+        self.model = TcResNet8(n_classes=stream.n_keywords, seed=derive_seed(ctx.cfg.seed, "model"))
         self._label_of = lambda ref: stream.global_label(ref.keyword)
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
-        return TrainHandle(
-            forward=lambda x: self.model(Tensor(x), training=True),
-            params=self.model.params,
-            label_of=self._label_of,
-        )
+        return _model_handle(self.model, self._label_of)
 
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         stream = self.ctx.stream
@@ -203,9 +202,9 @@ class AnchoredPenalty(GlobalHeadStrategy):
         self.omega += self.importance(task, theta)
         self.anchor = theta
 
-    def extra_params(self) -> int:
+    def accounting(self) -> Accounting:
         # anchor copy + importance map
-        return 2 * self.model.params.trainable_count
+        return Accounting(extra_params=2 * self.model.params.trainable_count)
 
     def checkpoint_items(self):
         items = super().checkpoint_items()
@@ -329,12 +328,9 @@ class NaiveRehearsal(GlobalHeadStrategy):
     def after_task(self, task: TaskSpec) -> None:
         self.history.append(list(task.train))
 
-    def buffer_bytes(self) -> int:
+    def accounting(self) -> Accounting:
         stored = sum(nr_counts([len(d) for d in self.history], self.xi))
-        return stored * self.ctx.bytes_per_sample
-
-    def report_extras(self) -> dict:
-        return {"nr_stored_samples": sum(nr_counts([len(d) for d in self.history], self.xi))}
+        return Accounting(buffer_bytes=stored * SAMPLE_BYTES, extras={"nr_stored_samples": stored})
 
 
 # largest KKT residual max|min(v, h v + b)| an accepted dual solution may have
@@ -450,15 +446,15 @@ class Gem(GlobalHeadStrategy):
         order = rng_for(self.ctx.cfg.seed, f"gem|{task.task_id}").permutation(len(refs))
         self.buffers.append([refs[i] for i in order[:take]])
 
-    def buffer_bytes(self) -> int:
-        return sum(len(b) for b in self.buffers) * self.ctx.bytes_per_sample
-
-    def report_extras(self) -> dict:
-        return {
-            "gem_projections": self.projections,
-            "gem_fallbacks": self.fallbacks,
-            "gem_quota_per_task": self.quota,
-        }
+    def accounting(self) -> Accounting:
+        return Accounting(
+            buffer_bytes=sum(len(b) for b in self.buffers) * SAMPLE_BYTES,
+            extras={
+                "gem_projections": self.projections,
+                "gem_fallbacks": self.fallbacks,
+                "gem_quota_per_task": self.quota,
+            },
+        )
 
 
 class Pcl(Strategy):
@@ -471,9 +467,7 @@ class Pcl(Strategy):
         super().__init__(ctx)
         cfg = ctx.cfg
         self.model = TcResNet8(
-            n_mfcc=ctx.feature_shape[0],
-            n_classes=ctx.stream.task(0).n_keywords,
-            seed=derive_seed(cfg.seed, "model"),
+            n_classes=ctx.stream.task(0).n_keywords, seed=derive_seed(cfg.seed, "model")
         )
         self.scaling = scaling_config(cfg)
         self.fixed = cfg.pcl.fixed
@@ -485,11 +479,7 @@ class Pcl(Strategy):
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
         if task.is_pretrain:
-            return TrainHandle(
-                forward=lambda x: self.model(Tensor(x), training=True),
-                params=self.model.params,
-                label_of=_local_labels(task),
-            )
+            return _model_handle(self.model, _local_labels(task))
 
         subnet = instantiate_subnet(
             c_t=task.n_keywords,
@@ -546,24 +536,22 @@ class Pcl(Strategy):
 
     # -- accounting ----------------------------------------------------------
 
-    def extra_params(self) -> int:
-        return sum(count_parameters(sn.params) for sn in self.subnets.values())
+    def accounting(self) -> Accounting:
+        subnets = sorted(self.subnets.items())
+        params = {str(tid): count_parameters(sn.params) for tid, sn in subnets}
+        return Accounting(
+            extra_params=sum(params.values()),
+            extras={
+                "pcl_subnet_channels": {str(tid): list(sn.scaled_channels) for tid, sn in subnets},
+                "pcl_subnet_params": params,
+            },
+        )
 
     def checkpoint_items(self):
         items = [("model", self.model.params)]
         for tid in sorted(self.subnets):
             items.append((f"subnet{tid}", self.subnets[tid].params))
         return items
-
-    def report_extras(self) -> dict:
-        return {
-            "pcl_subnet_channels": {
-                str(tid): list(sn.scaled_channels) for tid, sn in sorted(self.subnets.items())
-            },
-            "pcl_subnet_params": {
-                str(tid): count_parameters(sn.params) for tid, sn in sorted(self.subnets.items())
-            },
-        }
 
 
 class StandAlone(Strategy):
@@ -577,16 +565,11 @@ class StandAlone(Strategy):
 
     def before_task(self, task: TaskSpec) -> TrainHandle:
         model = TcResNet8(
-            n_mfcc=self.ctx.feature_shape[0],
             n_classes=task.n_keywords,
             seed=derive_seed(self.ctx.cfg.seed, f"standalone|{task.task_id}"),
         )
         self.models[task.task_id] = model
-        return TrainHandle(
-            forward=lambda x: model(Tensor(x), training=True),
-            params=model.params,
-            label_of=_local_labels(task),
-        )
+        return _model_handle(model, _local_labels(task))
 
     def eval_logits(self, task_id: int) -> Callable[[np.ndarray], np.ndarray]:
         if task_id not in self.models:
@@ -594,10 +577,10 @@ class StandAlone(Strategy):
         model = self.models[task_id]
         return lambda x: model(Tensor(x), training=False).data
 
-    def extra_params(self) -> int:
-        return sum(
+    def accounting(self) -> Accounting:
+        return Accounting(extra_params=sum(
             count_parameters(m.params) for tid, m in self.models.items() if tid != 0
-        )
+        ))
 
     def checkpoint_items(self):
         return [(f"model{tid}", self.models[tid].params) for tid in sorted(self.models)]

@@ -137,11 +137,7 @@ def render_clip(cfg: SynthConfig, seed: int, template_idx: int, clip_idx: int) -
     peak = np.max(np.abs(x))
     if peak > 0:
         x = 0.9 * x / peak
-    return AudioClip(
-        samples=x,
-        sample_rate=SAMPLE_RATE,
-        source_id=f"synth:{template_idx}:{clip_idx}",
-    )
+    return AudioClip(samples=x, source_id=f"synth:{template_idx}:{clip_idx}")
 
 
 @dataclass
@@ -291,6 +287,12 @@ def build_stream(
             tr, te = split_refs(refs_by_keyword[kw], seed, layout.train_frac)
             train.extend(tr)
             test.extend(te)
+        for side, refs in (("train", train), ("test", test)):
+            if not refs:
+                raise CorpusError(
+                    f"task {task_id} ({', '.join(kws)}) has no {side} clips; "
+                    "a keyword with 2 or more clips puts one on each side"
+                )
         tasks.append(
             TaskSpec(
                 task_id=task_id,

@@ -12,12 +12,13 @@ strategy hooks wired into every step:
 After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
-rows the run records. The `FeatureCache` holds every clip's features before
-the first task, so `epoch_seconds` covers training only. It also holds one
+rows the run records, and the footprint fields from the strategy's
+`accounting()`. The `FeatureCache` holds every clip's features before the
+first task, so `epoch_seconds` covers training only. It also holds one
 task-0 state per pretraining class (`Strategy.pretrained_by`): an Si's for
 the global-head strategies and a Pcl's for pcl and standalone. The first
-run of a class on a cache trains it and keeps a copy of its task-0 handle's
-named segments; every run restores them into its own task-0 handle.
+run of a class on a cache trains it and keeps its task-0 handle's named
+segments; every run restores a copy of them into its own task-0 handle.
 Feature extraction runs on every CPU the process may use; training and
 eval are single-threaded. A run is bit-reproducible for a fixed config at a
 fixed BLAS thread count, whatever the CPU count; only wall-clock timings
@@ -41,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Segment, Sgd, Tensor
 from .config import RunConfig, config_hash, config_to_flat
-from .dsp import mfcc, pad_or_trim
+from .dsp import FEATURE_SHAPE, mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
@@ -101,7 +102,7 @@ class FeatureCache:
 
     Building the cache first sets the process's allocator policy
     (`_set_allocator_policy`), then extracts every clip into one float64
-    block of shape [n_clips, n_mfcc, n_frames], in stream order. The
+    block of shape [n_clips, *dsp.FEATURE_SHAPE], in stream order. The
     calling thread and one pool thread per further usable CPU each take a
     stripe of the rows; `mfcc` is a pure function of its clip, so every row
     is bit for bit what a one-at-a-time extraction gives, whatever the CPU
@@ -114,9 +115,10 @@ class FeatureCache:
     on the same stream; `stream_fingerprint` says which stream that is, and
     a clip outside it is a `StreamMismatchError`. `pretrained` holds the
     task-0 states those runs adopt, by pretraining class and
-    `_pretraining_key`: a copy of the trained task-0 handle's segments
-    (weights, running statistics and, for an Si, the path integral) with
-    the training-log and epoch-time rows.
+    `_pretraining_key`: the trained task-0 handle's segments (weights,
+    running statistics and, for an Si, the path integral), taken from the
+    dropped producer and never written, with the training-log and
+    epoch-time rows.
     """
 
     def __init__(self, stream: TaskStream):
@@ -131,27 +133,24 @@ class FeatureCache:
                 if ref.uri not in self._row:
                     self._row[ref.uri] = len(refs)
                     refs.append(ref)
-        first = self._extract(refs[0])
-        self._block = np.empty((len(refs), *first.shape))
-        self._block[0] = first
-        self._extract_rows(refs, max(1, min(_usable_cpus(), len(refs) - 1)))
+        self._block = np.empty((len(refs), *FEATURE_SHAPE))
+        self._extract_rows(refs, max(1, min(_usable_cpus(), len(refs))))
         self._block.flags.writeable = False
 
     def _extract(self, ref: ClipRef) -> np.ndarray:
-        return mfcc(pad_or_trim(self.stream.load_clip(ref))).T  # [n_mfcc, n_frames]
+        return mfcc(pad_or_trim(self.stream.load_clip(ref))).T
 
     def _extract_rows(self, refs: list[ClipRef], stripes: int) -> None:
-        """Fill rows 1.. of the block: stripe s takes rows 1+s, 1+s+stripes,
-        ...; the calling thread runs stripe 0. A stripe stops at a row past
-        the earliest failing row recorded so far, so every row before the
-        first failure in stream order is extracted and that failure is the
-        one raised."""
+        """Fill the block: stripe s takes rows s, s+stripes, ...; the calling
+        thread runs stripe 0. A stripe stops at a row past the earliest
+        failing row recorded so far, so every row before the first failure
+        in stream order is extracted and that failure is the one raised."""
         stop_after, error = len(refs), None  # the earliest failing row so far
         lock = threading.Lock()
 
         def stripe(s: int) -> None:
             nonlocal stop_after, error
-            for i in range(1 + s, len(refs), stripes):
+            for i in range(s, len(refs), stripes):
                 if i > stop_after:
                     return
                 try:
@@ -303,7 +302,8 @@ def _adopt_pretraining(
     if key not in pretrained:
         producer, log, seconds = cls(ctx), [], []
         _train_task(cfg, ctx, producer, task, log, seconds)
-        state = [Segment(s.name, Tensor(s.tensor.data.copy()), s.trainable)
+        # the producer is dropped and `restore_into` copies, so no copy here
+        state = [Segment(s.name, Tensor(s.tensor.data), s.trainable)
                  for s in producer.before_task(task).params.segments]
         pretrained[key] = (state, log, seconds)
     state, log, seconds = pretrained[key]
@@ -361,7 +361,8 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
         R[t, : t + 1] = [
             evaluate(strategy.eval_logits(k), stream.task(k), ctx) for k in range(t + 1)
         ]
-        extra_params_by_task.append(strategy.extra_params())
+        accounting = strategy.accounting()
+        extra_params_by_task.append(accounting.extra_params)
         _save_task_checkpoints(strategy, cfg.out_dir, t)
 
     report = build_report(
@@ -373,9 +374,9 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
         seed=cfg.seed,
         config_hash=config_hash(cfg),
         stream_fingerprint=features.stream_fingerprint,
-        buffer_bytes=strategy.buffer_bytes(),
+        buffer_bytes=accounting.buffer_bytes,
         training_log=training_log,
-        extras=strategy.report_extras(),
+        extras=accounting.extras,
         config_flat={k: v for k, v in config_to_flat(cfg).items() if k != "out_dir"},
     )
     if cfg.out_dir:

@@ -87,6 +87,20 @@ def test_run_rejects_one_keyword_per_task_before_training(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_over_a_truncated_wav_exits_2_with_a_wav_format_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
+    wav = sorted(corpus.rglob("*.wav"))[0]
+    wav.write_bytes(wav.read_bytes()[:-1])  # the data chunk ends mid-sample
+    capsys.readouterr()
+    cfg_path = write_micro_config(
+        tmp_path / "dir.cfg", **{"stream.source": "dir", "stream.corpus_dir": corpus})
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: WavFormatError: ") and str(wav) in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_seeds_are_checked_as_ints(tmp_path):
     for seed in (2.7, True):
         with pytest.raises(ConfigError) as err:

@@ -170,7 +170,7 @@ RANGE_CASES = [
     ("stream.train_frac", 0.0, TINY),
     ("stream.train_frac", 1.0, 1.0 - 2.0**-53),
     ("synth.keywords", 0, 1),
-    ("synth.clips", 0, 1),
+    ("synth.clips", 1, 2),  # one clip cannot fill both sides of the split
     ("synth.f_lo", 0.0, TINY),
     ("synth.f_hi", 8000.0, 7999.0),
     ("synth.freq_jitter", -0.01, 0.0),
@@ -214,8 +214,8 @@ def test_range_checks_reject_outside_and_accept_the_edge(key, bad, good):
         ({"stream.source": "dir"}, {"stream.source": "dir", "stream.corpus_dir": "c"},
          "stream.corpus_dir"),
         # a dir stream checks its synth keys too
-        ({"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 0},
-         {"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 1}, "synth.clips"),
+        ({"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 1},
+         {"stream.source": "dir", "stream.corpus_dir": "c", "synth.clips": 2}, "synth.clips"),
         # the widest pcl sub-network layer: 48 * mu * keywords_per_task / pretrain_keywords
         ({"pcl.mu": 1e300}, {"pcl.mu": 106.0}, "pcl.mu"),
         ({"pcl.mu": 60.0, "stream.keywords_per_task": 6}, {"pcl.mu": 60.0}, "pcl.mu"),

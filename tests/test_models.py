@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kwslab import models
+from kwslab import dsp, models
 from kwslab.autodiff import Tensor
 from kwslab.errors import ConfigError, ShapeError
 from kwslab.models import (
@@ -178,6 +178,10 @@ def test_tcresnet8_rejects_wrong_input_channels():
     model = TcResNet8(n_mfcc=40, n_classes=15, seed=0)
     with pytest.raises(ShapeError):
         model(Tensor(np.zeros((2, 39, 98))), training=True)
+
+
+def test_tcresnet8_reads_the_frontends_coefficient_count():
+    assert TcResNet8().n_mfcc == dsp.N_MFCC
 
 
 def test_tcresnet8_rejects_single_class():

@@ -11,9 +11,11 @@ from kwslab import autodiff as ad
 from kwslab import strategies, trainer
 from kwslab.autodiff import ParameterVector, Segment, Sgd, SgdConfig, Tensor
 from kwslab.config import STRATEGIES
+from kwslab.dsp import FEATURE_SHAPE
 from kwslab.errors import EmptyDataError, UnknownTaskError
 from kwslab.models import ScalingConfig, count_parameters, instantiate_subnet
 from kwslab.strategies import (
+    SAMPLE_BYTES,
     Ewc,
     FineTune,
     Gem,
@@ -366,9 +368,9 @@ def ctx():
 def test_context_batch_and_bytes(ctx):
     task = ctx.stream.task(0)
     x, y = ctx.batch(task.train[:4], lambda r: ctx.stream.global_label(r.keyword))
-    assert x.shape == (4,) + ctx.feature_shape
+    assert x.shape == (4, *FEATURE_SHAPE)
     assert y.shape == (4,)
-    assert ctx.bytes_per_sample == ctx.feature_shape[0] * ctx.feature_shape[1] * 8
+    assert SAMPLE_BYTES == x[0].nbytes
     with pytest.raises(EmptyDataError):
         ctx.batch([], lambda r: 0)
 
@@ -505,7 +507,7 @@ def test_gem_buffer_quota_and_budget(ctx):
     for t in range(3):
         gem.after_task(ctx.stream.task(t))
     assert [len(b) for b in gem.buffers] == [1, 1, 1]
-    assert gem.buffer_bytes() == 3 * ctx.bytes_per_sample
+    assert gem.accounting().buffer_bytes == 3 * SAMPLE_BYTES
 
     gem = with_buffer(1)  # budget exhausted after the first task
     for t in range(3):
@@ -624,8 +626,8 @@ def test_pcl_freeze_shared_zero_bwt(micro_run):
     assert report.bwt == 0.0
 
 
-def trained_pcl(monkeypatch, **overrides):
-    """A micro pcl run's strategy object, after its last task."""
+def trained(monkeypatch, strategy, features=None, **overrides):
+    """A micro run's report and strategy object, after its last task."""
     built = []
 
     def keep(ctx):
@@ -633,12 +635,12 @@ def trained_pcl(monkeypatch, **overrides):
         return built[-1]
 
     monkeypatch.setattr(trainer, "make_strategy", keep)
-    trainer.run(micro_config(strategy="pcl", **overrides))
-    return built[0]
+    report = trainer.run(micro_config(strategy=strategy, **overrides), features=features)
+    return report, built[0]
 
 
 def test_pcl_task0_column_is_the_pretrained_model(monkeypatch):
-    pcl = trained_pcl(monkeypatch)
+    _, pcl = trained(monkeypatch, "pcl")
     x, _ = pcl.ctx.batch(pcl.ctx.stream.task(0).test, lambda ref: 0)
     expected = pcl.model(Tensor(x), training=False).data
     assert pcl.eval_logits(0)(x).tobytes() == expected.tobytes()
@@ -666,7 +668,7 @@ def test_pcl_freeze_shared_skips_encoder_backward(monkeypatch):
 
     monkeypatch.setattr(Pcl, "before_task", before)
     monkeypatch.setattr(Pcl, "after_task", after)
-    pcl = trained_pcl(monkeypatch, **{"pcl.freeze_shared": True})
+    _, pcl = trained(monkeypatch, "pcl", **{"pcl.freeze_shared": True})
     assert checked == [1, 2]
     assert not any(s.tensor.requires_grad for s in pcl.model.encoder_segments)
 
@@ -701,3 +703,12 @@ def test_nr_run_accounts_buffer(micro_run):
     task_sizes = [15, 10, 10]  # history holds all three tasks at 5 clips per keyword
     assert stored == sum(nr_counts(task_sizes, 0.75))
     assert report.buffer_bytes == stored * 40 * 98 * 8
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_accounting_is_what_the_report_records(monkeypatch, ctx, name):
+    report, strategy = trained(monkeypatch, name, features=ctx.features)
+    accounting = strategy.accounting()
+    assert accounting.extra_params == report.extra_params == report.extra_params_by_task[-1]
+    assert accounting.buffer_bytes == report.buffer_bytes
+    assert accounting.extras == report.extras

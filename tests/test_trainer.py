@@ -14,7 +14,14 @@ from kwslab import autodiff as ad
 from kwslab import strategies, trainer
 from kwslab.autodiff import Segment, Sgd, Tensor
 from kwslab.config import STRATEGIES
-from kwslab.errors import EmptyDataError, NanLossError, StreamMismatchError, WavFormatError
+from kwslab.dsp import FEATURE_SHAPE
+from kwslab.errors import (
+    CorpusError,
+    EmptyDataError,
+    NanLossError,
+    StreamMismatchError,
+    WavFormatError,
+)
 from kwslab.metrics import load_report, reports_equivalent, summary
 from kwslab.seeding import rng_for
 from kwslab.strategies import FineTune, Si, Strategy, TrainContext
@@ -243,7 +250,7 @@ def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, w
     stream = trainer.build_stream_from_config(cfg)
     cache = FeatureCache(stream)
     refs = _stream_refs(stream)
-    assert cache._block.shape[0] == len(refs)
+    assert cache._block.shape == (len(refs), *FEATURE_SHAPE)
     for ref in refs:
         expected = trainer.mfcc(trainer.pad_or_trim(stream.load_clip(ref))).T
         assert np.array_equal(cache(ref), expected)
@@ -319,6 +326,16 @@ def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus
     assert threading.active_count() == before
     if first_to_fail is not None:
         assert all(event.is_set() for event in failed.values())
+
+
+def test_an_empty_split_is_a_corpus_error_before_any_clip_is_read(monkeypatch, tmp_path):
+    """With one clip per keyword every test split is empty."""
+    materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=1), seed=0, out_dir=tmp_path)
+    loads = []
+    monkeypatch.setattr(TaskStream, "load_clip", lambda self, ref: loads.append(ref))
+    with pytest.raises(CorpusError, match="task 0 .* has no test clips"):
+        trainer.run(_dir_config(str(tmp_path)))
+    assert loads == []
 
 
 def test_a_clip_outside_the_stream_is_a_stream_mismatch(ctx):
