@@ -8,16 +8,15 @@ back to ./runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import replace
 
-from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
+from .config import RunConfig, StreamConfig, config_from_mapping, load_config, normalize_strategy
 from .errors import ConfigError, KwslabError
 from .fileio import replace_on_success
 from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
@@ -29,7 +28,7 @@ from .models import (
     scale_channels,
 )
 from .taskstream import materialize_synth
-from .trainer import FeatureCache, build_stream_from_config, stream_fingerprint
+from .trainer import FeatureCache, stream_for
 from .trainer import run as run_training
 
 OUT_ENV = "KWSLAB_OUT"
@@ -58,13 +57,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The features of the last stream this process ran a sweep config on, and
-# the task-0 states its runs share, under the key (seed, stream config) that
-# fixes the stream. A pool process gets only the config, so the cache lives
-# at module level. A sweep runs each stream's configs back to back, so a
-# process extracts a stream once per switch to it and holds one stream's
-# features at a time.
-_stream_features: dict[tuple, FeatureCache] = {}
+def _one_stream_features(seed: int, stream_cfg: StreamConfig) -> FeatureCache:
+    _stream_features.cache_clear()  # drop the last stream's block before extracting
+    return FeatureCache(seed, stream_cfg)
+
+
+# The features and shared task-0 states of the last stream this process ran
+# a sweep config on, named by seed and stream section. A pool process gets
+# only the config, so the cache lives at module level. A sweep runs each
+# stream's configs back to back, so a process extracts a stream once per
+# switch to it.
+_stream_features = functools.lru_cache(maxsize=1)(_one_stream_features)
 
 
 def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
@@ -73,12 +76,8 @@ def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
     `Exception` fails only its own run; an unexpected one also prints its
     traceback. Ctrl-C still stops the sweep."""
     t0 = time.perf_counter()
-    key = (cfg.seed, cfg.stream)
     try:
-        if key not in _stream_features:
-            _stream_features.clear()
-            _stream_features[key] = FeatureCache(build_stream_from_config(cfg))
-        result = run_training(cfg, features=_stream_features[key])
+        result = run_training(cfg, features=_stream_features(cfg.seed, cfg.stream))
     except Exception as exc:
         if not isinstance(exc, (KwslabError, OSError)):
             traceback.print_exc()
@@ -87,17 +86,32 @@ def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
 
 
 def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
-    """A comparison needs every run of a seed on one stream; say so before
-    any run trains rather than after all of them."""
-    stream_of_seed: dict[int, str] = {}
+    """A comparison needs every run of a seed to name one stream section;
+    say so, and build each seed's stream once (a missing or too small
+    corpus fails here), before any run trains rather than after all."""
+    stream_of_seed = {}
     for cfg in cfgs:
-        fingerprint = stream_fingerprint(build_stream_from_config(cfg))
-        if stream_of_seed.setdefault(cfg.seed, fingerprint) != fingerprint:
+        if stream_of_seed.setdefault(cfg.seed, cfg.stream) != cfg.stream:
             raise ConfigError(
                 "sweep.strategies",
                 f"runs of seed {cfg.seed} would train on different streams; "
                 "stream keys belong in the manifest base",
             )
+    for seed, stream_cfg in stream_of_seed.items():
+        stream_for(seed, stream_cfg)
+
+
+def _pool_results(cfgs: list[RunConfig], jobs: int):
+    """`_sweep_worker`'s result per config, in order, from `jobs` processes.
+    A dead worker breaks the pool and fails every run not finished by then."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for future in [pool.submit(_sweep_worker, cfg) for cfg in cfgs]:
+            try:
+                yield future.result()
+            except BrokenProcessPool as exc:
+                yield f"{type(exc).__name__}: {exc}", 0.0
 
 
 def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[dict]]:
@@ -106,18 +120,17 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
     runs' reports and an entry per failed run."""
     reports, failed = [], []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-            results = pool.map(_sweep_worker, cfgs) if pool else map(_sweep_worker, cfgs)
-            for cfg, (result, seconds) in zip(cfgs, results):
-                head = f"{cfg.strategy} seed={cfg.seed}:"
-                if isinstance(result, str):
-                    print(f"{head} FAILED wall={seconds:.1f}s {result}", flush=True)
-                    failed.append({"strategy": cfg.strategy, "seed": cfg.seed, "error": result})
-                else:
-                    print(f"{head} ACC={result.acc:.4f} wall={seconds:.1f}s", flush=True)
-                    reports.append(result)
+        results = _pool_results(cfgs, jobs) if jobs > 1 else map(_sweep_worker, cfgs)
+        for cfg, (result, seconds) in zip(cfgs, results):
+            head = f"{cfg.strategy} seed={cfg.seed}:"
+            if isinstance(result, str):
+                print(f"{head} FAILED wall={seconds:.1f}s {result}", flush=True)
+                failed.append({"strategy": cfg.strategy, "seed": cfg.seed, "error": result})
+            else:
+                print(f"{head} ACC={result.acc:.4f} wall={seconds:.1f}s", flush=True)
+                reports.append(result)
     finally:
-        _stream_features.clear()
+        _stream_features.cache_clear()
     return reports, failed
 
 

@@ -30,7 +30,7 @@ class NanError(KwslabError):
 
 
 class NanLossError(KwslabError):
-    """Training loss became non-finite; a diagnostic checkpoint was written."""
+    """Training loss became non-finite; a diagnostic checkpoint holds what was being trained."""
 
 
 class NonScalarLossError(KwslabError):

@@ -98,13 +98,11 @@ class ResidualBlock:
 
 
 class Model:
-    """Base: owns a ParameterVector."""
+    """Base: owns a ParameterVector, which every subclass sets."""
 
-    def __init__(self):
-        self.params: ParameterVector | None = None
+    params: ParameterVector
 
     def describe(self) -> dict:
-        assert self.params is not None
         return {
             "class": type(self).__name__,
             "total_params": self.params.total_count,
@@ -120,7 +118,6 @@ class Column(Model):
     """Residual blocks, then a global average pool and a dense head."""
 
     def __init__(self, blocks: list[ResidualBlock], head: Dense):
-        super().__init__()
         self.blocks = blocks
         self.head = head
         self.params = ParameterVector([s for b in blocks for s in b.segments] + head.segments)
@@ -145,7 +142,6 @@ class TcResNet8(Model):
     BLOCK_KERNEL = 3
 
     def __init__(self, n_mfcc: int = N_MFCC, n_classes: int = 15, seed: int = 0):
-        super().__init__()
         if n_mfcc < 1:
             raise ConfigError("model.n_mfcc", f"must be >= 1, got {n_mfcc}")
         if n_classes < 2:

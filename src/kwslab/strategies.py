@@ -38,8 +38,11 @@ class TrainContext:
     """Trainer-owned services a strategy may use."""
 
     cfg: RunConfig
-    stream: TaskStream
-    features: Callable[[ClipRef], np.ndarray]  # one FEATURE_SHAPE float64 row
+    features: Callable[[ClipRef], np.ndarray]  # a trainer.FeatureCache: FEATURE_SHAPE rows
+
+    @property
+    def stream(self) -> TaskStream:  # the stream whose clips `features` extracted
+        return self.features.stream
 
     def batch(self, refs: list[ClipRef], label_of: Callable[[ClipRef], int]):
         if not refs:

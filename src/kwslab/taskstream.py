@@ -152,11 +152,6 @@ class TaskStream:
     synth: SynthConfig | None = None
     keyword_order: list[str] = field(default_factory=list)
 
-    @property
-    def n_tasks(self) -> int:
-        """Incremental tasks, excluding pretraining."""
-        return len(self.tasks) - 1
-
     def task(self, task_id: int) -> TaskSpec:
         for t in self.tasks:
             if t.task_id == task_id:

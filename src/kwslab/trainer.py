@@ -12,18 +12,21 @@ strategy hooks wired into every step:
 After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
 matrix R. `metrics.build_report` derives every summary field from R and the
-rows the run records, and the footprint fields from the strategy's
-`accounting()`. The `FeatureCache` holds every clip's features before the
-first task, so `epoch_seconds` covers training only. It also holds one
-task-0 state per pretraining class (`Strategy.pretrained_by`): an Si's for
-the global-head strategies and a Pcl's for pcl and standalone. The first
-run of a class on a cache trains it and keeps its task-0 handle's named
-segments; every run restores a copy of them into its own task-0 handle.
-Feature extraction runs on every CPU the process may use; training and
-eval are single-threaded. A run is bit-reproducible for a fixed config at a
-fixed BLAS thread count, whatever the CPU count; only wall-clock timings
-differ between repeats. A different BLAS thread count may change how BLAS
-sums a GEMM, and with it the last bits of the numbers.
+rows each task hands back, and the footprint fields from the strategy's
+`accounting()`. A non-finite loss saves the parameters being trained as
+`diagnostic_task<t>.ckpt`, then raises `NanLossError`. A seed and a stream
+section name a stream: the `FeatureCache` built from the pair builds it,
+once, and holds every clip's features before the first task, so
+`epoch_seconds` covers training only. It also holds one task-0 state per
+pretraining class (`Strategy.pretrained_by`): an Si's for the global-head
+strategies and a Pcl's for pcl and standalone. The first run of a class on
+a cache trains it and keeps its task-0 handle's named segments; every run
+restores a copy of them into its own task-0 handle. Feature extraction runs
+on every CPU the process may use; training and eval are single-threaded. A
+run is bit-reproducible for a fixed config at a fixed BLAS thread count,
+whatever the CPU count; only wall-clock timings differ between repeats. A
+different BLAS thread count may change how BLAS sums a GEMM, and with it
+the last bits of the numbers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Segment, Sgd, Tensor
-from .config import RunConfig, config_hash, config_to_flat
+from .config import RunConfig, StreamConfig, config_hash, config_to_flat
 from .dsp import FEATURE_SHAPE, mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
@@ -52,10 +55,11 @@ from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_s
 EVAL_BATCH = 64
 
 
-def build_stream_from_config(cfg: RunConfig) -> TaskStream:
-    if cfg.stream.source == "dir":
-        return split_corpus_dir(cfg.stream.corpus_dir, cfg.seed, cfg.stream.layout)
-    return synth_stream(cfg.stream.synth, cfg.seed, cfg.stream.layout)
+def stream_for(seed: int, stream_cfg: StreamConfig) -> TaskStream:
+    """The task stream that a seed and a config's stream section name."""
+    if stream_cfg.source == "dir":
+        return split_corpus_dir(stream_cfg.corpus_dir, seed, stream_cfg.layout)
+    return synth_stream(stream_cfg.synth, seed, stream_cfg.layout)
 
 
 def stream_fingerprint(stream: TaskStream) -> str:
@@ -98,7 +102,8 @@ def _usable_cpus() -> int:
 
 
 class FeatureCache:
-    """MFCC features of a stream's train and test clips, keyed by clip URI.
+    """The stream that `(seed, stream_cfg)` names, built and fingerprinted
+    once, and the MFCC features of its train and test clips by clip URI.
 
     Building the cache first sets the process's allocator policy
     (`_set_allocator_policy`), then extracts every clip into one float64
@@ -112,8 +117,8 @@ class FeatureCache:
 
     Every run path builds its features here before its first step: a lone
     `run`, a sweep and each sweep worker process. One cache serves every run
-    on the same stream; `stream_fingerprint` says which stream that is, and
-    a clip outside it is a `StreamMismatchError`. `pretrained` holds the
+    whose config names its pair, on exactly the clips it extracted; a clip
+    outside the stream is a `StreamMismatchError`. `pretrained` holds the
     task-0 states those runs adopt, by pretraining class and
     `_pretraining_key`: the trained task-0 handle's segments (weights,
     running statistics and, for an Si, the path integral), taken from the
@@ -121,14 +126,15 @@ class FeatureCache:
     epoch-time rows.
     """
 
-    def __init__(self, stream: TaskStream):
+    def __init__(self, seed: int, stream_cfg: StreamConfig):
         _set_allocator_policy()
-        self.stream = stream
-        self.stream_fingerprint = stream_fingerprint(stream)
+        self.seed, self.stream_cfg = seed, stream_cfg
+        self.stream = stream_for(seed, stream_cfg)
+        self.stream_fingerprint = stream_fingerprint(self.stream)
         self.pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
         self._row: dict[str, int] = {}
         refs: list[ClipRef] = []
-        for task in stream.tasks:
+        for task in self.stream.tasks:
             for ref in (*task.train, *task.test):
                 if ref.uri not in self._row:
                     self._row[ref.uri] = len(refs)
@@ -208,26 +214,18 @@ def evaluate(logits: Callable[[np.ndarray], np.ndarray], task: TaskSpec,
     return correct / len(refs)
 
 
-def _write_diagnostic(strategy: Strategy, out_dir: str | None, task_id: int) -> str | None:
+def _write_diagnostic(params: ad.ParameterVector, out_dir: str | None, task_id: int) -> str | None:
     if not out_dir:
         return None
     path = os.path.join(out_dir, f"diagnostic_task{task_id}.ckpt")
     os.makedirs(out_dir, exist_ok=True)
-    items = strategy.checkpoint_items()
-    if items:
-        ad.save_checkpoint(path, items[0][1], meta={"task": task_id, "reason": "nan"})
-        return path
-    return None
+    ad.save_checkpoint(path, params, meta={"task": task_id, "reason": "nan"})
+    return path
 
 
 def _train_task(
-    cfg: RunConfig,
-    ctx: TrainContext,
-    strategy: Strategy,
-    task: TaskSpec,
-    training_log: list,
-    epoch_seconds: list,
-) -> None:
+    cfg: RunConfig, ctx: TrainContext, strategy: Strategy, task: TaskSpec
+) -> tuple[list[dict], list[float]]:
     handle = strategy.before_task(task)
     data = strategy.augment_data(task)
     if not data:
@@ -235,6 +233,7 @@ def _train_task(
 
     epochs = cfg.sgd.pretrain_epochs if task.is_pretrain else cfg.sgd.epochs
     sgd = Sgd(handle.params, cfg.sgd, lr_scale=handle.lr_scale)
+    training_log, epoch_seconds = [], []
 
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -249,7 +248,7 @@ def _train_task(
                 loss = ad.softmax_cross_entropy(logits, y)
                 ad.backward(loss)
             except NanError as exc:
-                path = _write_diagnostic(strategy, cfg.out_dir, task.task_id)
+                path = _write_diagnostic(handle.params, cfg.out_dir, task.task_id)
                 where = f"; diagnostic checkpoint at {path}" if path else ""
                 raise NanLossError(
                     f"non-finite loss on task {task.task_id} epoch {epoch}{where}"
@@ -270,6 +269,7 @@ def _train_task(
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0 and epoch + 1 < epochs:
             entry["task_acc"] = evaluate(strategy.eval_logits(task.task_id), task, ctx)
         training_log.append(entry)
+    return training_log, epoch_seconds
 
 
 # Config keys that cannot change how task 0 trains: every other key, one
@@ -286,30 +286,23 @@ def _pretraining_key(cfg: RunConfig) -> tuple:
 
 
 def _adopt_pretraining(
-    pretrained: dict,
-    cfg: RunConfig,
-    ctx: TrainContext,
-    strategy: Strategy,
-    task: TaskSpec,
-    training_log: list,
-    epoch_seconds: list,
-) -> None:
+    pretrained: dict, cfg: RunConfig, ctx: TrainContext, strategy: Strategy, task: TaskSpec
+) -> tuple[list[dict], list[float]]:
     """Get or train task 0 for the strategy's pretraining class and the
     config's key, then restore it into the strategy's task-0 handle by
-    segment name. The timing rows are those of the run that trained it."""
+    segment name. Returns copies of the producer's rows and epoch times."""
     cls = strategy.pretrained_by
     key = (cls, _pretraining_key(cfg))
     if key not in pretrained:
-        producer, log, seconds = cls(ctx), [], []
-        _train_task(cfg, ctx, producer, task, log, seconds)
+        producer = cls(ctx)
+        log, seconds = _train_task(cfg, ctx, producer, task)
         # the producer is dropped and `restore_into` copies, so no copy here
         state = [Segment(s.name, Tensor(s.tensor.data), s.trainable)
                  for s in producer.before_task(task).params.segments]
         pretrained[key] = (state, log, seconds)
     state, log, seconds = pretrained[key]
     ad.restore_into(strategy.before_task(task).params, state)
-    training_log.extend(dict(row) for row in log)
-    epoch_seconds.extend(seconds)
+    return [dict(row) for row in log], list(seconds)
 
 
 def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int) -> None:
@@ -325,18 +318,18 @@ def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int
 
 def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     """Train and evaluate one config; `features` may be a cache shared with
-    other runs on the same stream, and is otherwise built here. Task 0 is
+    other runs on the config's stream, and is otherwise built here. Task 0 is
     always adopted from the cache's state for the run's pretraining class."""
     cfg.validate()
-    stream = build_stream_from_config(cfg)
     if features is None:
-        features = FeatureCache(stream)
-    elif features.stream_fingerprint != stream_fingerprint(stream):
+        features = FeatureCache(cfg.seed, cfg.stream)
+    elif (features.seed, features.stream_cfg) != (cfg.seed, cfg.stream):
         raise StreamMismatchError(
-            f"feature cache is for stream {features.stream_fingerprint}, "
-            f"config builds stream {stream_fingerprint(stream)}"
+            f"feature cache is for seed {features.seed} and {features.stream_cfg}, "
+            f"config names seed {cfg.seed} and {cfg.stream}"
         )
-    ctx = TrainContext(cfg=cfg, stream=stream, features=features)
+    stream = features.stream
+    ctx = TrainContext(cfg=cfg, features=features)
     strategy = make_strategy(ctx)
 
     n = len(stream.tasks)
@@ -352,11 +345,11 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     for task in stream.tasks:
         t = task.task_id
         if task.is_pretrain:
-            _adopt_pretraining(
-                features.pretrained, cfg, ctx, strategy, task, training_log, epoch_seconds
-            )
+            rows, seconds = _adopt_pretraining(features.pretrained, cfg, ctx, strategy, task)
         else:
-            _train_task(cfg, ctx, strategy, task, training_log, epoch_seconds)
+            rows, seconds = _train_task(cfg, ctx, strategy, task)
+        training_log += rows
+        epoch_seconds += seconds
         strategy.after_task(task)
         R[t, : t + 1] = [
             evaluate(strategy.eval_logits(k), stream.task(k), ctx) for k in range(t + 1)

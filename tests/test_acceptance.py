@@ -45,7 +45,7 @@ def _sweep(strategies, base, seeds=SEEDS):
         for strategy in strategies:
             cfg = config_from_mapping({"strategy": strategy, "seed": str(seed), **base})
             if features is None:
-                features = trainer.FeatureCache(trainer.build_stream_from_config(cfg))
+                features = trainer.FeatureCache(cfg.seed, cfg.stream)
             reports[strategy, seed] = trainer.run(cfg, features=features)
     return reports
 

@@ -3,8 +3,11 @@ import json
 import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -173,7 +176,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     }
     cfgs = sorted(
         _sweep_configs(manifest, str(tmp_path)),
-        key=lambda cfg: trainer.stream_fingerprint(trainer.build_stream_from_config(cfg)),
+        key=lambda cfg: trainer.stream_fingerprint(trainer.stream_for(cfg.seed, cfg.stream)),
     )
 
     extracted = Counter()
@@ -191,7 +194,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
 
     streams = {}
     for cfg in cfgs:
-        stream = trainer.build_stream_from_config(cfg)
+        stream = trainer.stream_for(cfg.seed, cfg.stream)
         streams[trainer.stream_fingerprint(stream)] = stream
     assert len(streams) == 4
     expected = Counter(
@@ -206,6 +209,42 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     for cfg, report in zip(cfgs, shared):
         alone = trainer.run(dataclasses.replace(cfg, out_dir=""))
         assert reports_equivalent(report, alone), cfg.out_dir
+
+
+def test_a_sweep_builds_its_stream_twice_and_fingerprints_it_once(tmp_path, capsys,
+                                                                  monkeypatch):
+    """The stream check builds the seed's stream once, and the seed's feature
+    cache builds and fingerprints it once more; no run builds it again."""
+    calls = Counter()
+    for name in ("synth_stream", "stream_fingerprint"):
+        def counted(*args, _name=name, _real=getattr(trainer, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(trainer, name, counted)
+    path = write_sweep(tmp_path, ["standalone", "pcl", "nr", "gem", "si", "finetune"])
+    assert main(["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps")]) == 0
+    assert calls == {"synth_stream": 2, "stream_fingerprint": 1}
+
+
+def test_the_sweep_cache_drops_a_stream_before_building_the_next(monkeypatch):
+    """One stream's features at a time: a new seed's cache is built only
+    after the last one is gone."""
+    live, alive_at_build = weakref.WeakSet(), []
+
+    class Cache:
+        def __init__(self, seed, stream_cfg):
+            alive_at_build.append(len(live))
+            live.add(self)
+
+    monkeypatch.setattr(cli, "FeatureCache", Cache)
+    stream_cfg = micro_config().stream
+    cli._stream_features.cache_clear()
+    first = cli._stream_features(0, stream_cfg)
+    assert cli._stream_features(0, stream_cfg) is first
+    del first
+    cli._stream_features(1, stream_cfg)
+    cli._stream_features.cache_clear()
+    assert alive_at_build == [0, 0] and len(live) == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -224,6 +263,27 @@ def test_sweep_rejects_split_streams_before_training(tmp_path, capsys, monkeypat
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError") and "seed 0" in err
+    assert trained == []
+    assert not root.exists()
+
+
+def test_sweep_rejects_a_stream_key_its_source_ignores(tmp_path, capsys, monkeypatch):
+    """`synth.snr_db` leaves a WAV corpus's clips as they are, but it is a
+    stream key all the same: an entry may not override it."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
+    base = {**MICRO_FLAT, "stream.source": "dir", "stream.corpus_dir": str(corpus)}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        {"base": base, "strategies": ["finetune", {"strategy": "nr", "synth.snr_db": 5.0}]}))
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+
+    root = tmp_path / "sweeps"
+    capsys.readouterr()
+    assert main(["sweep", "--manifest", str(path), "--out", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: sweep.strategies") and "seed 0" in err
     assert trained == []
     assert not root.exists()
 
@@ -291,7 +351,7 @@ def test_sweep_lists_failed_runs_and_finishes_the_rest(tmp_path, capsys, monkeyp
     assert captured.err == (
         "error: KwslabError: 2 of 6 runs failed; comparison.json lists them under 'failed'\n"
     )
-    assert cli._stream_features == {}
+    assert cli._stream_features.cache_info().currsize == 0
 
     progress = [line for line in captured.out.splitlines() if " wall=" in line]
     assert [line.split(":")[0] for line in progress] == [
@@ -411,7 +471,7 @@ def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
     extracted = Counter(log.read_text(encoding="utf-8").splitlines())
     assert max(extracted.values()) == 1
     assert str(os.getpid()) not in {line.split()[0] for line in extracted}
-    stream = trainer.build_stream_from_config(micro_config())
+    stream = trainer.stream_for(0, micro_config().stream)
     clips = {ref.uri for task in stream.tasks for ref in (*task.train, *task.test)}
     assert {line.split()[1] for line in extracted} == clips
 
@@ -419,6 +479,37 @@ def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
 SEVEN = ["standalone", "pcl", "nr", "finetune", "ewc", "si", "gem"]
 FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="pool workers see the patched trainer only when forked")
+
+
+@FORK_ONLY
+def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, capsys,
+                                                                  monkeypatch):
+    """SIGKILL on the worker of gem's run once finetune's run has finished:
+    gem is listed under `failed` with the broken pool's text, finetune is
+    compared, and the sweep exits 2 with a one-line error."""
+    root = tmp_path / "sweeps"
+    path = write_sweep(tmp_path, ["finetune", "gem"])
+    real_run = cli.run_training
+
+    def run(cfg, features=None):
+        if cfg.strategy == "gem":
+            deadline = time.monotonic() + 120
+            while not (root / "finetune_seed0" / "report.json").exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(1.0)  # finetune's worker hands its report back
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(cfg, features=features)
+
+    monkeypatch.setattr(cli, "run_training", run)
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: KwslabError: 1 of 2 runs failed; comparison.json lists them under 'failed'\n"
+    )
+    doc = json.loads((root / "comparison.json").read_text())
+    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune"]
+    assert [(f["strategy"], f["seed"]) for f in doc["failed"]] == [("gem", 0)]
+    assert doc["failed"][0]["error"].startswith("BrokenProcessPool: ")
 
 
 def artifacts(out_dir):
@@ -626,3 +717,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "29615" in proc.stdout
+
+
+def test_importing_the_cli_leaves_out_multiprocessing():
+    """Only a `--jobs` > 1 sweep imports the process pool."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kwslab.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

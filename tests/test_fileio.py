@@ -10,7 +10,7 @@ import pytest
 from conftest import micro_config
 from kwslab import dsp, metrics
 from kwslab.taskstream import ClipRef
-from kwslab.trainer import build_stream_from_config
+from kwslab.trainer import stream_for
 
 
 def no_space():
@@ -18,7 +18,8 @@ def no_space():
 
 
 def write_manifest(path, fail, monkeypatch):
-    stream = build_stream_from_config(micro_config())
+    cfg = micro_config()
+    stream = stream_for(cfg.seed, cfg.stream)
     if fail:  # the tasks are dumped last, after the rest of the manifest
         stream.tasks[-1].test.append(ClipRef(object(), "unserializable"))
     stream.save_manifest(path)

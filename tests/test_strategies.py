@@ -37,8 +37,7 @@ from conftest import micro_config
 
 def micro_ctx(**overrides):
     cfg = micro_config(**overrides)
-    stream = trainer.build_stream_from_config(cfg)
-    return TrainContext(cfg=cfg, stream=stream, features=trainer.FeatureCache(stream))
+    return TrainContext(cfg=cfg, features=trainer.FeatureCache(cfg.seed, cfg.stream))
 
 
 # -- quadratic anchor penalty ------------------------------------------------------
@@ -382,7 +381,6 @@ def test_registry_builds_every_strategy(ctx):
         if strat is None:
             ctx2 = TrainContext(
                 cfg=micro_config(strategy=name),
-                stream=ctx.stream,
                 features=ctx.features,
             )
             strat = make_strategy(ctx2)
@@ -448,7 +446,6 @@ def test_ewc_lifecycle(ctx):
 def test_ewc_fisher_sample_cap(ctx):
     ctx2 = TrainContext(
         cfg=micro_config(strategy="ewc", **{"ewc.fisher_samples": 3}),
-        stream=ctx.stream,
         features=ctx.features,
     )
     ewc = Ewc(ctx2)
@@ -498,7 +495,6 @@ def test_gem_buffer_quota_and_budget(ctx):
     def with_buffer(buf):
         ctx2 = TrainContext(
             cfg=micro_config(strategy="gem", **{"gem.buffer": buf}),
-            stream=ctx.stream,
             features=ctx.features,
         )
         return Gem(ctx2)
@@ -519,7 +515,6 @@ def test_gem_post_batch_projects_against_buffer(ctx, monkeypatch):
     gem = Gem(
         TrainContext(
             cfg=micro_config(strategy="gem"),
-            stream=ctx.stream,
             features=ctx.features,
         )
     )
@@ -543,7 +538,6 @@ def test_pcl_eval_before_learning(ctx):
     pcl = Pcl(
         TrainContext(
             cfg=micro_config(strategy="pcl"),
-            stream=ctx.stream,
             features=ctx.features,
         )
     )

@@ -28,7 +28,7 @@ def default_stream(seed=0):
 def test_default_stream_layout():
     stream = default_stream()
     assert len(stream.tasks) == 6
-    assert stream.n_tasks == 5
+    assert stream.layout.n_tasks == 5
     assert stream.tasks[0].is_pretrain
     assert stream.tasks[0].n_keywords == 15
     for t in stream.tasks[1:]:

@@ -18,6 +18,7 @@ from kwslab.dsp import FEATURE_SHAPE
 from kwslab.errors import (
     CorpusError,
     EmptyDataError,
+    NanError,
     NanLossError,
     StreamMismatchError,
     WavFormatError,
@@ -31,10 +32,18 @@ from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprin
 from conftest import micro_config
 
 
-def micro_ctx(**overrides):
+def micro_stream(**overrides):
     cfg = micro_config(**overrides)
-    stream = trainer.build_stream_from_config(cfg)
-    return TrainContext(cfg=cfg, stream=stream, features=FeatureCache(stream))
+    return trainer.stream_for(cfg.seed, cfg.stream)
+
+
+def micro_cache(**overrides):
+    cfg = micro_config(**overrides)
+    return FeatureCache(cfg.seed, cfg.stream)
+
+
+def micro_ctx(**overrides):
+    return TrainContext(cfg=micro_config(**overrides), features=micro_cache(**overrides))
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -129,7 +138,7 @@ def test_feature_cache_sets_the_allocator_policy_before_the_first_clip(monkeypat
 
     monkeypatch.setattr(trainer, "_set_allocator_policy", lambda: events.append("policy"))
     monkeypatch.setattr(TaskStream, "load_clip", load_clip)
-    FeatureCache(trainer.build_stream_from_config(micro_config()))
+    micro_cache()
     assert events[0] == "policy"
     assert events.count("policy") == 1 and "clip" in events
 
@@ -138,26 +147,34 @@ def test_feature_cache_sets_the_allocator_policy_before_the_first_clip(monkeypat
 
 def test_stream_fingerprint_stability(ctx):
     a = stream_fingerprint(ctx.stream)
-    b = stream_fingerprint(trainer.build_stream_from_config(micro_config()))
+    b = stream_fingerprint(micro_stream())
     assert a == b
-    c = stream_fingerprint(trainer.build_stream_from_config(micro_config(seed=1)))
+    c = stream_fingerprint(micro_stream(seed=1))
     assert a != c
     assert len(a) == 16
 
 
 # -- features -----------------------------------------------------------------------------
 
-def test_run_rejects_feature_cache_of_another_stream():
-    other = FeatureCache(trainer.build_stream_from_config(micro_config(seed=1)))
-    with pytest.raises(StreamMismatchError):
+def test_run_rejects_feature_cache_of_another_stream(monkeypatch):
+    """The cache names its stream by seed and stream section; `run` compares
+    that pair with its config's and builds no stream of its own."""
+    other = micro_cache(seed=1)
+    built = []
+    monkeypatch.setattr(trainer, "synth_stream", lambda *args: built.append(args))
+    with pytest.raises(StreamMismatchError, match="seed 1 .* seed 0"):
         trainer.run(micro_config(strategy="finetune"), features=other)
+    with pytest.raises(StreamMismatchError):
+        trainer.run(micro_config(strategy="finetune", seed=1, **{"synth.snr_db": 5.0}),
+                    features=other)
+    assert built == []
 
 
 def test_pretrained_task0_states_are_copied_segments():
     """The cache keeps each class's task 0 as the named arrays a checkpoint
     holds, with no grad slot and no strategy object: after a lone run, and
     after every strategy has run on the cache."""
-    features = FeatureCache(trainer.build_stream_from_config(micro_config()))
+    features = micro_cache()
 
     def states():
         for entry in features.pretrained.values():
@@ -186,14 +203,15 @@ def test_features_are_extracted_before_the_first_task(monkeypatch):
 
     def checked_train_task(*args, **kwargs):
         before = len(calls)
-        real_train_task(*args, **kwargs)
+        rows = real_train_task(*args, **kwargs)
         assert len(calls) == before
+        return rows
 
     monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
     monkeypatch.setattr(trainer, "_train_task", checked_train_task)
     cfg = micro_config(strategy="nr")
     trainer.run(cfg)
-    stream = trainer.build_stream_from_config(cfg)
+    stream = trainer.stream_for(cfg.seed, cfg.stream)
     assert len(calls) == sum(len(t.train) + len(t.test) for t in stream.tasks)
 
 
@@ -209,8 +227,8 @@ def test_feature_cache_is_complete_when_built(monkeypatch):
 
     monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
     cfg = micro_config(strategy="finetune")
-    stream = trainer.build_stream_from_config(cfg)
-    cache = FeatureCache(stream)
+    cache = FeatureCache(cfg.seed, cfg.stream)
+    stream = cache.stream
     assert calls == Counter(
         ref.uri for task in stream.tasks for ref in (*task.train, *task.test))
     calls.clear()
@@ -247,8 +265,8 @@ def _dir_config(corpus):
 def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, wav_corpus, source):
     _set_cpus(monkeypatch, 4)
     cfg = micro_config() if source == "synth" else _dir_config(wav_corpus)
-    stream = trainer.build_stream_from_config(cfg)
-    cache = FeatureCache(stream)
+    cache = FeatureCache(cfg.seed, cfg.stream)
+    stream = cache.stream
     refs = _stream_refs(stream)
     assert cache._block.shape == (len(refs), *FEATURE_SHAPE)
     for ref in refs:
@@ -268,7 +286,7 @@ def test_extraction_threads_follow_the_cpu_count_and_are_joined(monkeypatch, cpu
     _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(trainer, "mfcc", recording_mfcc)
     before = threading.active_count()
-    FeatureCache(trainer.build_stream_from_config(micro_config()))
+    micro_cache()
     assert threading.active_count() == before
     if cpus == 1:
         assert threads == {threading.get_ident()}
@@ -290,7 +308,8 @@ def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus
     both loads start before either fails, and `first_to_fail` fails first
     in time. Row 5's error is raised either way."""
     materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=tmp_path)
-    stream = trainer.build_stream_from_config(_dir_config(str(tmp_path)))
+    cfg = _dir_config(str(tmp_path))
+    stream = trainer.stream_for(cfg.seed, cfg.stream)
     refs = _stream_refs(stream)
     corrupt = [refs[5].uri, refs[6].uri]
     for uri in corrupt:
@@ -320,7 +339,7 @@ def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus
     sys.setswitchinterval(1e-5)
     try:
         with pytest.raises(WavFormatError, match=re.escape(refs[5].uri)):
-            FeatureCache(stream)
+            FeatureCache(cfg.seed, cfg.stream)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -392,16 +411,15 @@ def test_penalty_is_logged_into_batch_loss(ctx):
         def penalty(self):
             return 0.125, np.zeros(self.model.params.trainable_count)
 
-    log_a, log_b = [], []
-    trainer._train_task(ctx.cfg, ctx, Bumped(ctx), ctx.stream.task(0), log_a, [])
-    trainer._train_task(ctx.cfg, ctx, FineTune(ctx), ctx.stream.task(0), log_b, [])
+    log_a, _ = trainer._train_task(ctx.cfg, ctx, Bumped(ctx), ctx.stream.task(0))
+    log_b, _ = trainer._train_task(ctx.cfg, ctx, FineTune(ctx), ctx.stream.task(0))
     for bumped, plain in zip(log_a, log_b):
         assert bumped["loss"] == pytest.approx(plain["loss"] + 0.125, abs=1e-12)
 
 
 def test_anchor_penalty_is_evaluated_once_per_step(ctx, monkeypatch):
     si = Si(ctx)
-    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(0), [], [])
+    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(0))
     si.after_task(ctx.stream.task(0))
 
     calls = {"penalty": 0, "step": 0}
@@ -417,7 +435,7 @@ def test_anchor_penalty_is_evaluated_once_per_step(ctx, monkeypatch):
 
     monkeypatch.setattr(strategies, "quadratic_penalty", counting_penalty)
     monkeypatch.setattr(Sgd, "step", counting_step)
-    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(1), [], [])
+    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(1))
     assert calls["step"] > 0
     assert calls["penalty"] == calls["step"]
 
@@ -428,7 +446,7 @@ def test_empty_augmented_data_rejected(ctx):
             return []
 
     with pytest.raises(EmptyDataError):
-        trainer._train_task(ctx.cfg, ctx, Starved(ctx), ctx.stream.task(0), [], [])
+        trainer._train_task(ctx.cfg, ctx, Starved(ctx), ctx.stream.task(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -439,6 +457,44 @@ def test_nan_abort_writes_diagnostic(tmp_path):
     with pytest.raises(NanLossError):
         trainer.run(cfg)
     assert os.path.exists(tmp_path / "diagnostic_task0.ckpt")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_nan_abort_saves_the_parameters_being_trained(tmp_path, monkeypatch, strategy):
+    """A NaN forced in task 1's first step leaves a diagnostic checkpoint of
+    every segment of the parameters task 1 trains: for standalone its task-1
+    network, with a head over task 1's 2 keywords; for pcl the encoder and
+    its task-1 sub-network."""
+    real_sgd, real_train_task, real_loss = trainer.Sgd, trainer._train_task, ad.softmax_cross_entropy
+    trained, task_ids = [], []
+
+    def recording_sgd(params, *args, **kwargs):
+        trained.append(params)
+        return real_sgd(params, *args, **kwargs)
+
+    def tracking_train_task(cfg, ctx, strategy, task):
+        task_ids.append(task.task_id)
+        return real_train_task(cfg, ctx, strategy, task)
+
+    def loss(logits, y):
+        if task_ids[-1] == 1:
+            raise NanError("forced")
+        return real_loss(logits, y)
+
+    monkeypatch.setattr(trainer, "Sgd", recording_sgd)
+    monkeypatch.setattr(trainer, "_train_task", tracking_train_task)
+    monkeypatch.setattr(ad, "softmax_cross_entropy", loss)
+    with pytest.raises(NanLossError, match="task 1 epoch 0; diagnostic checkpoint at"):
+        trainer.run(micro_config(strategy=strategy, out_dir=str(tmp_path)))
+    meta, saved = ad.load_checkpoint(tmp_path / "diagnostic_task1.ckpt")
+    assert meta["task"] == 1 and meta["reason"] == "nan"
+    assert [(seg.name, seg.tensor.data.tobytes()) for seg in saved] == [
+        (seg.name, seg.tensor.data.tobytes()) for seg in trained[-1].segments]
+    shapes = {seg.name: seg.tensor.data.shape for seg in saved}
+    if strategy == "standalone":
+        assert shapes["head.w"] == (2, 48)
+    if strategy == "pcl":
+        assert "head.w" not in shapes and shapes["sub.head.w"][0] == 2
 
 
 # -- full runs and artifacts --------------------------------------------------------------
