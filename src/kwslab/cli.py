@@ -8,7 +8,7 @@ back to ./runs).
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import os
 import sys
@@ -16,7 +16,7 @@ import time
 import traceback
 from dataclasses import replace
 
-from .config import RunConfig, StreamConfig, config_from_mapping, load_config, normalize_strategy
+from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
 from .errors import ConfigError, KwslabError
 from .fileio import replace_on_success
 from .metrics import RunReport, compare_by_seed, load_report, render_csv, render_table
@@ -57,32 +57,95 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _one_stream_features(seed: int, stream_cfg: StreamConfig) -> FeatureCache:
-    _stream_features.cache_clear()  # drop the last stream's block before extracting
-    return FeatureCache(seed, stream_cfg)
+def _error_text(exc: Exception) -> str:
+    """A failed run's entry under `failed`. Called while handling `exc`: an
+    error other than KwslabError and OSError also prints its traceback."""
+    if not isinstance(exc, (KwslabError, OSError)):
+        traceback.print_exc()
+    return f"{type(exc).__name__}: {exc}"
 
 
-# The features and shared task-0 states of the last stream this process ran
-# a sweep config on, named by seed and stream section. A pool process gets
-# only the config, so the cache lives at module level. A sweep runs each
-# stream's configs back to back, so a process extracts a stream once per
-# switch to it.
-_stream_features = functools.lru_cache(maxsize=1)(_one_stream_features)
-
-
-def _sweep_worker(cfg: RunConfig) -> tuple[RunReport | str, float]:
-    """Run one sweep config, in-process or in a pool worker. A failed run
-    returns its error as text, which pickles whatever the error holds. Any
-    `Exception` fails only its own run; an unexpected one also prints its
-    traceback. Ctrl-C still stops the sweep."""
+def _sweep_worker(cfg: RunConfig, features: FeatureCache) -> tuple[RunReport | str, float]:
+    """Run one sweep config on its stream's cache, in the sweep's process or
+    in a forked child. A failed run returns its error as text, which pickles
+    whatever the error holds. Any `Exception` fails only its own run; Ctrl-C
+    still stops the sweep."""
     t0 = time.perf_counter()
     try:
-        result = run_training(cfg, features=_stream_features(cfg.seed, cfg.stream))
+        result = run_training(cfg, features=features)
     except Exception as exc:
-        if not isinstance(exc, (KwslabError, OSError)):
-            traceback.print_exc()
-        result = f"{type(exc).__name__}: {exc}"
+        result = _error_text(exc)
     return result, time.perf_counter() - t0
+
+
+def _send_result(cfg: RunConfig, features: FeatureCache, writer) -> None:
+    with writer:
+        writer.send(_sweep_worker(cfg, features))
+
+
+class _ForkTree:
+    """At most `jobs` forked children, each running one sweep config on the
+    feature cache it inherits copy-on-write and sending `_sweep_worker`'s
+    result back through a pipe; `done(index, result)` gets each result.
+    Forking is safe here because a `FeatureCache` has joined its extraction
+    threads before it is returned, and OpenBLAS stops its own threads at a
+    fork."""
+
+    def __init__(self, fork_context, jobs: int, done):
+        self._context, self._jobs, self._done = fork_context, jobs, done
+        self._live = {}  # pipe reader -> (config index, child, start time, warm-up seconds)
+
+    def start(self, index: int, cfg: RunConfig, features: FeatureCache) -> None:
+        """Once fewer than `jobs` children are alive, get or train `cfg`'s
+        task 0 in the cache, so that the child only restores it, and fork
+        the child. A warm-up that raises fails the config here."""
+        while len(self._live) >= self._jobs:
+            self._reap()
+        t0 = time.perf_counter()
+        try:
+            features.pretraining(cfg)
+        except Exception as exc:
+            self._done(index, (_error_text(exc), time.perf_counter() - t0))
+            return
+        reader, writer = self._context.Pipe(duplex=False)
+        child = self._context.Process(target=_send_result, args=(cfg, features, writer))
+        try:
+            child.start()
+        finally:
+            writer.close()  # the child holds the only writer, so its end is EOF
+        self._live[reader] = (index, child, t0, time.perf_counter() - t0)
+
+    def _reap(self) -> None:
+        """Read every pipe that is ready, then join its child. A report can
+        be larger than a pipe buffer, so the pipe is read before the join."""
+        import signal
+        from multiprocessing.connection import wait
+
+        for reader in wait(list(self._live)):
+            index, child, t0, warm_up = self._live.pop(reader)
+            with reader:
+                try:
+                    result, seconds = reader.recv()
+                    seconds += warm_up
+                except EOFError:  # the child ended without a result
+                    result, seconds = None, time.perf_counter() - t0
+            child.join()
+            if result is None:
+                code = child.exitcode
+                why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+                result = f"ChildProcessError: the run's process ended ({why}) without a result"
+            self._done(index, (result, seconds))
+
+    def join(self) -> None:
+        while self._live:
+            self._reap()
+
+    def stop(self) -> None:
+        """Terminate and join every live child."""
+        for reader, (_, child, _, _) in self._live.items():
+            child.terminate()
+            child.join()
+            reader.close()
 
 
 def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
@@ -101,27 +164,21 @@ def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
         stream_for(seed, stream_cfg)
 
 
-def _pool_results(cfgs: list[RunConfig], jobs: int):
-    """`_sweep_worker`'s result per config, in order, from `jobs` processes.
-    A dead worker breaks the pool and fails every run not finished by then."""
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for future in [pool.submit(_sweep_worker, cfg) for cfg in cfgs]:
-            try:
-                yield future.result()
-            except BrokenProcessPool as exc:
-                yield f"{type(exc).__name__}: {exc}", 0.0
-
-
 def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[dict]]:
-    """Run `cfgs` in order through `_sweep_worker`, in this process or over
-    `jobs` processes, with one progress line per run. Returns the finished
-    runs' reports and an entry per failed run."""
-    reports, failed = [], []
-    try:
-        results = _pool_results(cfgs, jobs) if jobs > 1 else map(_sweep_worker, cfgs)
-        for cfg, (result, seconds) in zip(cfgs, results):
+    """Run `cfgs` through `_sweep_worker` one stream at a time: a run of
+    consecutive configs with one seed and stream section. Each stream's
+    `FeatureCache` is built here once and dropped before the next one is
+    built; a cache that cannot be built fails every run of its stream. At
+    `jobs` 1, or where processes cannot fork, every run runs in this
+    process; otherwise each runs in a forked child, at most `jobs` at once.
+    Prints one progress line per run, in config order, and returns the
+    finished runs' reports and an entry per failed run."""
+    reports, failed, results = [], [], {}
+
+    def done(index: int, outcome: tuple[RunReport | str, float]) -> None:
+        results[index] = outcome
+        while (n := len(reports) + len(failed)) in results:
+            cfg, (result, seconds) = cfgs[n], results.pop(n)
             head = f"{cfg.strategy} seed={cfg.seed}:"
             if isinstance(result, str):
                 print(f"{head} FAILED wall={seconds:.1f}s {result}", flush=True)
@@ -129,8 +186,36 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
             else:
                 print(f"{head} ACC={result.acc:.4f} wall={seconds:.1f}s", flush=True)
                 reports.append(result)
+
+    tree = None
+    if jobs > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            tree = _ForkTree(multiprocessing.get_context("fork"), jobs, done)
+    try:
+        streams = itertools.groupby(enumerate(cfgs), lambda item: (item[1].seed, item[1].stream))
+        for (seed, stream_cfg), stream in streams:
+            stream = list(stream)
+            t0 = time.perf_counter()
+            try:
+                features = FeatureCache(seed, stream_cfg)
+            except Exception as exc:
+                error = _error_text(exc), time.perf_counter() - t0
+                for index, _ in stream:
+                    done(index, error)
+                continue
+            for index, cfg in stream:
+                if tree is None:
+                    done(index, _sweep_worker(cfg, features))
+                else:
+                    tree.start(index, cfg, features)
+            del features  # before the next stream's cache is built
+        if tree is not None:
+            tree.join()
     finally:
-        _stream_features.cache_clear()
+        if tree is not None:
+            tree.stop()
     return reports, failed
 
 
@@ -202,6 +287,10 @@ def cmd_sweep(args) -> int:
     out_root = _out_root(args.out or manifest.get("out_dir"))
     cfgs = _sweep_configs(manifest, out_root)
     _require_one_stream_per_seed(cfgs)
+    if args.jobs > 1 and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        print("warning: --jobs processes each running BLAS on its default thread count can "
+              "make a sweep slower than --jobs 1; set OPENBLAS_NUM_THREADS=1",
+              file=sys.stderr, flush=True)
     reports, failed = _run_sweep(cfgs, args.jobs)
     if not reports:
         raise KwslabError(f"all {len(cfgs)} runs failed; no comparison written")

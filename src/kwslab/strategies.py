@@ -606,5 +606,9 @@ _REGISTRY = {
 }
 
 
+def strategy_class(name: str) -> type[Strategy]:
+    return _REGISTRY[name]
+
+
 def make_strategy(ctx: TrainContext) -> Strategy:
-    return _REGISTRY[ctx.cfg.strategy](ctx)
+    return strategy_class(ctx.cfg.strategy)(ctx)

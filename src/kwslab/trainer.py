@@ -19,14 +19,15 @@ section name a stream: the `FeatureCache` built from the pair builds it,
 once, and holds every clip's features before the first task, so
 `epoch_seconds` covers training only. It also holds one task-0 state per
 pretraining class (`Strategy.pretrained_by`): an Si's for the global-head
-strategies and a Pcl's for pcl and standalone. The first run of a class on
-a cache trains it and keeps its task-0 handle's named segments; every run
-restores a copy of them into its own task-0 handle. Feature extraction runs
-on every CPU the process may use; training and eval are single-threaded. A
-run is bit-reproducible for a fixed config at a fixed BLAS thread count,
-whatever the CPU count; only wall-clock timings differ between repeats. A
-different BLAS thread count may change how BLAS sums a GEMM, and with it
-the last bits of the numbers.
+strategies and a Pcl's for pcl and standalone. `FeatureCache.pretraining`
+trains a class's state on its first call and keeps its task-0 handle's
+named segments; every run restores a copy of them into its own task-0
+handle. A sweep that forks its runs calls it in the parent first, so each
+child only restores. Feature extraction runs on every CPU the process may
+use; training and eval are single-threaded. A run is bit-reproducible for a
+fixed config at a fixed BLAS thread count, whatever the CPU count; only
+wall-clock timings differ between repeats. A different BLAS thread count
+may change how BLAS sums a GEMM, and with it the last bits of the numbers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .dsp import FEATURE_SHAPE, mfcc, pad_or_trim
 from .errors import EmptyDataError, NanError, NanLossError, StreamMismatchError
 from .metrics import RunReport, build_report, emit_report
 from .seeding import rng_for
-from .strategies import Strategy, TrainContext, make_strategy
+from .strategies import Strategy, TrainContext, make_strategy, strategy_class
 from .taskstream import ClipRef, TaskSpec, TaskStream, split_corpus_dir, synth_stream
 
 EVAL_BATCH = 64
@@ -116,14 +117,10 @@ class FeatureCache:
     fail, the first failing one in stream order raises its own error.
 
     Every run path builds its features here before its first step: a lone
-    `run`, a sweep and each sweep worker process. One cache serves every run
-    whose config names its pair, on exactly the clips it extracted; a clip
-    outside the stream is a `StreamMismatchError`. `pretrained` holds the
-    task-0 states those runs adopt, by pretraining class and
-    `_pretraining_key`: the trained task-0 handle's segments (weights,
-    running statistics and, for an Si, the path integral), taken from the
-    dropped producer and never written, with the training-log and
-    epoch-time rows.
+    `run`, and a sweep once per stream (forked sweep runs inherit it). One
+    cache serves every run whose config names its pair, on exactly the clips
+    it extracted; a clip outside the stream is a `StreamMismatchError`. It
+    also holds the task-0 states those runs adopt (`pretraining`).
     """
 
     def __init__(self, seed: int, stream_cfg: StreamConfig):
@@ -131,7 +128,7 @@ class FeatureCache:
         self.seed, self.stream_cfg = seed, stream_cfg
         self.stream = stream_for(seed, stream_cfg)
         self.stream_fingerprint = stream_fingerprint(self.stream)
-        self.pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
+        self._pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
         self._row: dict[str, int] = {}
         refs: list[ClipRef] = []
         for task in self.stream.tasks:
@@ -181,6 +178,26 @@ class FeatureCache:
                 thread.join()
         if error is not None:
             raise error
+
+    def pretraining(self, cfg: RunConfig) -> tuple[list[Segment], list[dict], list[float]]:
+        """The task-0 state that a run of `cfg` adopts, by its strategy's
+        pretraining class and `_pretraining_key`: the trained task-0
+        handle's segments (weights, running statistics and, for an Si, the
+        path integral), with the training-log and epoch-time rows. The
+        first call for a (class, key) trains it with a new object of the
+        class; the segments are taken from that dropped producer and are
+        never written."""
+        cls = strategy_class(cfg.strategy).pretrained_by
+        key = (cls, _pretraining_key(cfg))
+        if key not in self._pretrained:
+            ctx = TrainContext(cfg=cfg, features=self)
+            producer, task = cls(ctx), self.stream.task(0)
+            log, seconds = _train_task(cfg, ctx, producer, task)
+            # the producer is dropped and `restore_into` copies, so no copy here
+            state = [Segment(s.name, Tensor(s.tensor.data), s.trainable)
+                     for s in producer.before_task(task).params.segments]
+            self._pretrained[key] = (state, log, seconds)
+        return self._pretrained[key]
 
     def __call__(self, ref: ClipRef) -> np.ndarray:
         row = self._row.get(ref.uri)
@@ -285,26 +302,6 @@ def _pretraining_key(cfg: RunConfig) -> tuple:
     ))
 
 
-def _adopt_pretraining(
-    pretrained: dict, cfg: RunConfig, ctx: TrainContext, strategy: Strategy, task: TaskSpec
-) -> tuple[list[dict], list[float]]:
-    """Get or train task 0 for the strategy's pretraining class and the
-    config's key, then restore it into the strategy's task-0 handle by
-    segment name. Returns copies of the producer's rows and epoch times."""
-    cls = strategy.pretrained_by
-    key = (cls, _pretraining_key(cfg))
-    if key not in pretrained:
-        producer = cls(ctx)
-        log, seconds = _train_task(cfg, ctx, producer, task)
-        # the producer is dropped and `restore_into` copies, so no copy here
-        state = [Segment(s.name, Tensor(s.tensor.data), s.trainable)
-                 for s in producer.before_task(task).params.segments]
-        pretrained[key] = (state, log, seconds)
-    state, log, seconds = pretrained[key]
-    ad.restore_into(strategy.before_task(task).params, state)
-    return [dict(row) for row in log], list(seconds)
-
-
 def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int) -> None:
     if not out_dir:
         return
@@ -345,7 +342,9 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     for task in stream.tasks:
         t = task.task_id
         if task.is_pretrain:
-            rows, seconds = _adopt_pretraining(features.pretrained, cfg, ctx, strategy, task)
+            state, rows, seconds = features.pretraining(cfg)
+            ad.restore_into(strategy.before_task(task).params, state)
+            rows, seconds = [dict(row) for row in rows], list(seconds)
         else:
             rows, seconds = _train_task(cfg, ctx, strategy, task)
         training_log += rows

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from kwslab import cli, trainer
+from kwslab import cli, taskstream, trainer
 from kwslab.cli import _run_sweep, _sweep_configs, main
 from kwslab.errors import ConfigError, NanLossError
 from kwslab.metrics import compare_by_seed, load_report, reports_equivalent
@@ -226,9 +226,14 @@ def test_a_sweep_builds_its_stream_twice_and_fingerprints_it_once(tmp_path, caps
     assert calls == {"synth_stream": 2, "stream_fingerprint": 1}
 
 
-def test_the_sweep_cache_drops_a_stream_before_building_the_next(monkeypatch):
+FORK_ONLY = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="a sweep forks its runs only where processes can fork")
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_the_sweep_cache_drops_a_stream_before_building_the_next(tmp_path, monkeypatch, jobs):
     """One stream's features at a time: a new seed's cache is built only
-    after the last one is gone."""
+    after the sweep has dropped the last one, in-process and forking."""
     live, alive_at_build = weakref.WeakSet(), []
 
     class Cache:
@@ -236,14 +241,17 @@ def test_the_sweep_cache_drops_a_stream_before_building_the_next(monkeypatch):
             alive_at_build.append(len(live))
             live.add(self)
 
+        def pretraining(self, cfg):
+            pass
+
+    def run(cfg, features=None):
+        raise NanLossError("not trained")
+
     monkeypatch.setattr(cli, "FeatureCache", Cache)
-    stream_cfg = micro_config().stream
-    cli._stream_features.cache_clear()
-    first = cli._stream_features(0, stream_cfg)
-    assert cli._stream_features(0, stream_cfg) is first
-    del first
-    cli._stream_features(1, stream_cfg)
-    cli._stream_features.cache_clear()
+    monkeypatch.setattr(cli, "run_training", run)
+    manifest = {"base": dict(MICRO_FLAT), "strategies": ["finetune", "nr"], "seeds": [0, 1]}
+    reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path)), jobs)
+    assert reports == [] and len(failed) == 4
     assert alive_at_build == [0, 0] and len(live) == 0
 
 
@@ -351,7 +359,6 @@ def test_sweep_lists_failed_runs_and_finishes_the_rest(tmp_path, capsys, monkeyp
     assert captured.err == (
         "error: KwslabError: 2 of 6 runs failed; comparison.json lists them under 'failed'\n"
     )
-    assert cli._stream_features.cache_info().currsize == 0
 
     progress = [line for line in captured.out.splitlines() if " wall=" in line]
     assert [line.split(":")[0] for line in progress] == [
@@ -447,11 +454,10 @@ def test_a_failed_comparison_write_keeps_the_previous_one(tmp_path, capsys, monk
     assert not list(root.glob("*.tmp"))
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers see the patched mfcc only when forked")
+@FORK_ONLY
 def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
-    """At --jobs 2 one of three runs shares a worker with another; that
-    worker reuses the stream's features instead of extracting them again."""
+    """At --jobs 2 the sweep's process extracts the stream once, and every
+    forked run reads the features it inherits instead of extracting them."""
     path = write_sweep(tmp_path, ["finetune", "nr", "si"])
     log = tmp_path / "extracted.log"
     real_mfcc = trainer.mfcc
@@ -469,47 +475,115 @@ def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
     assert progress == ["finetune seed=0", "nr seed=0", "si seed=0"]
 
     extracted = Counter(log.read_text(encoding="utf-8").splitlines())
-    assert max(extracted.values()) == 1
-    assert str(os.getpid()) not in {line.split()[0] for line in extracted}
+    assert set(extracted.values()) == {1}
+    assert {line.split()[0] for line in extracted} == {str(os.getpid())}
     stream = trainer.stream_for(0, micro_config().stream)
     clips = {ref.uri for task in stream.tasks for ref in (*task.train, *task.test)}
     assert {line.split()[1] for line in extracted} == clips
 
 
 SEVEN = ["standalone", "pcl", "nr", "finetune", "ewc", "si", "gem"]
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="pool workers see the patched trainer only when forked")
 
 
 @FORK_ONLY
 def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, capsys,
                                                                   monkeypatch):
-    """SIGKILL on the worker of gem's run once finetune's run has finished:
-    gem is listed under `failed` with the broken pool's text, finetune is
-    compared, and the sweep exits 2 with a one-line error."""
+    """SIGKILL on the child of gem's run: gem is listed under `failed` with
+    the signal's name, while finetune, which runs beside it, and nr, which
+    starts after it, finish and are compared. The sweep exits 2 with a
+    one-line error."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     root = tmp_path / "sweeps"
-    path = write_sweep(tmp_path, ["finetune", "gem"])
+    path = write_sweep(tmp_path, ["finetune", "gem", "nr"])
     real_run = cli.run_training
 
     def run(cfg, features=None):
         if cfg.strategy == "gem":
-            deadline = time.monotonic() + 120
-            while not (root / "finetune_seed0" / "report.json").exists():
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            time.sleep(1.0)  # finetune's worker hands its report back
             os.kill(os.getpid(), signal.SIGKILL)
         return real_run(cfg, features=features)
 
     monkeypatch.setattr(cli, "run_training", run)
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: KwslabError: 1 of 2 runs failed; comparison.json lists them under 'failed'\n"
+        "error: KwslabError: 1 of 3 runs failed; comparison.json lists them under 'failed'\n"
     )
     doc = json.loads((root / "comparison.json").read_text())
-    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune"]
+    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
     assert [(f["strategy"], f["seed"]) for f in doc["failed"]] == [("gem", 0)]
-    assert doc["failed"][0]["error"].startswith("BrokenProcessPool: ")
+    assert "SIGKILL" in doc["failed"][0]["error"]
+    assert multiprocessing.active_children() == []
+
+
+@FORK_ONLY
+def test_an_interrupted_sweep_leaves_no_child_behind(tmp_path, monkeypatch):
+    """Ctrl-C in the sweep's process while a run's child is busy: the
+    interrupt reaches the caller, and the child is terminated and joined."""
+    real_cache = cli.FeatureCache
+
+    def cache(seed, stream_cfg):
+        if seed == 1:
+            raise KeyboardInterrupt
+        return real_cache(seed, stream_cfg)
+
+    def run(cfg, features=None):
+        time.sleep(120)
+
+    monkeypatch.setattr(cli, "FeatureCache", cache)
+    monkeypatch.setattr(cli, "run_training", run)
+    manifest = {"base": dict(MICRO_FLAT), "strategies": ["finetune"], "seeds": [0, 1]}
+    with pytest.raises(KeyboardInterrupt):
+        _run_sweep(_sweep_configs(manifest, str(tmp_path)), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monkeypatch, jobs):
+    """A corrupt WAV fails the stream's cache, and with it every run of the
+    stream, with one error; the clip is read once, not once per run."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
+    wav = sorted(corpus.rglob("*.wav"))[0]
+    wav.write_bytes(wav.read_bytes()[:-1])  # the data chunk ends mid-sample
+    manifest = {
+        "base": {**MICRO_FLAT, "stream.source": "dir", "stream.corpus_dir": str(corpus)},
+        "strategies": ["finetune", "nr"],
+    }
+    log = tmp_path / "read.log"
+    real_read_wav = taskstream.read_wav
+
+    def logging_read_wav(wav_path, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{wav_path}\n")
+        return real_read_wav(wav_path, *args, **kwargs)
+
+    monkeypatch.setattr(taskstream, "read_wav", logging_read_wav)
+    reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path / "sweeps")), jobs)
+    assert reports == []
+    assert [(f["strategy"], f["seed"]) for f in failed] == [("finetune", 0), ("nr", 0)]
+    assert failed[0]["error"] == failed[1]["error"]
+    assert failed[0]["error"].startswith("WavFormatError: ") and str(wav) in failed[0]["error"]
+    assert log.read_text(encoding="utf-8").splitlines().count(str(wav)) == 1
+
+
+@pytest.mark.parametrize("jobs, blas_threads, warned", [
+    ("2", None, True),
+    pytest.param("2", "1", False),
+    ("1", None, False),
+])
+def test_a_parallel_sweep_warns_about_unset_blas_threads(tmp_path, capsys, monkeypatch,
+                                                         jobs, blas_threads, warned):
+    """--jobs processes that each run BLAS on its default thread count can
+    be slower than one process, so the sweep says how to pin it."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    path = write_sweep(tmp_path, ["finetune"])
+    argv = ["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps"), "--jobs", jobs]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert ("set OPENBLAS_NUM_THREADS=1" in err) == warned
+    assert err.count("\n") == warned
 
 
 def artifacts(out_dir):
@@ -567,12 +641,7 @@ def test_sweep_pretrains_each_class_once(tmp_path, capsys, monkeypatch, micro_ru
     trains. Every run still matches a run of its config alone, checkpoints
     and CSVs byte for byte."""
     root, pretrained = sweep_pretrainings(tmp_path, monkeypatch, SEVEN, jobs)
-    if jobs == "1":
-        assert pretrained == ["standalone pcl", "nr si"]
-    else:  # a worker shares only what it trained itself
-        trained = Counter(line.split()[1] for line in pretrained)
-        assert set(trained) == {"pcl", "si"}
-        assert all(count in (1, 2) for count in trained.values())
+    assert pretrained == ["standalone pcl", "nr si"]
     assert_runs_match_separate_runs(root, SEVEN, micro_run)
 
 
@@ -720,7 +789,7 @@ def test_console_entry_point():
 
 
 def test_importing_the_cli_leaves_out_multiprocessing():
-    """Only a `--jobs` > 1 sweep imports the process pool."""
+    """Only a `--jobs` > 1 sweep imports multiprocessing."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c",

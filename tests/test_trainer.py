@@ -177,7 +177,7 @@ def test_pretrained_task0_states_are_copied_segments():
     features = micro_cache()
 
     def states():
-        for entry in features.pretrained.values():
+        for entry in features._pretrained.values():
             assert not any(isinstance(part, Strategy) for part in entry)
             state = entry[0]
             assert isinstance(state, list)
