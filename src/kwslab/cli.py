@@ -98,7 +98,8 @@ class _ForkTree:
     def start(self, index: int, cfg: RunConfig, features: FeatureCache) -> None:
         """Once fewer than `jobs` children are alive, get or train `cfg`'s
         task 0 in the cache, so that the child only restores it, and fork
-        the child. A warm-up that raises fails the config here."""
+        the child. A warm-up that raises, or a fork that fails, fails the
+        config here."""
         while len(self._live) >= self._jobs:
             self._reap()
         t0 = time.perf_counter()
@@ -111,6 +112,10 @@ class _ForkTree:
         child = self._context.Process(target=_send_result, args=(cfg, features, writer))
         try:
             child.start()
+        except OSError as exc:  # fork refused: EAGAIN or ENOMEM
+            reader.close()
+            self._done(index, (_error_text(exc), time.perf_counter() - t0))
+            return
         finally:
             writer.close()  # the child holds the only writer, so its end is EOF
         self._live[reader] = (index, child, t0, time.perf_counter() - t0)
@@ -132,7 +137,11 @@ class _ForkTree:
             child.join()
             if result is None:
                 code = child.exitcode
-                why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+                try:
+                    why = (f"killed by {signal.Signals(-code).name}" if code < 0
+                           else f"exit code {code}")
+                except ValueError:  # Python names only the first and last real-time signal
+                    why = f"killed by signal {-code}"
                 result = f"ChildProcessError: the run's process ended ({why}) without a result"
             self._done(index, (result, seconds))
 

@@ -256,8 +256,11 @@ def _flatten_json(doc, prefix: str = "") -> dict:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -2,13 +2,14 @@
 
 The trainer drives every strategy through the same hooks: before_task hands
 back what to train (model view, parameter vector, labeling), augment_data may
-mix in replayed samples, penalty returns a regularizer's value and flat
-gradient in one call per step (or None), post_batch may rewrite the gradient,
-post_step observes the applied update, after_task consolidates state, and
-eval_logits routes evaluation for any learned task. Hooks a strategy does not
-need keep their identity defaults. Every route is one forward that states its
-batch-norm mode. A strategy reports what it holds beyond the base network
-through one hook, accounting. The feature layout is `dsp`'s to decide.
+mix in replayed samples, post_batch turns each step's task-loss gradient into
+the gradient the optimizer applies and the penalty value the logged loss adds
+(an anchor penalty adds its gradient, GEM projects), post_step observes the
+applied update, after_task consolidates state, and eval_logits routes
+evaluation for any learned task. Hooks a strategy does not need keep their
+identity defaults. Every route is one forward that states its batch-norm
+mode. A strategy reports what it holds beyond the base network through one
+hook, accounting. The feature layout is `dsp`'s to decide.
 """
 
 from __future__ import annotations
@@ -101,12 +102,9 @@ class Strategy:
     def augment_data(self, task: TaskSpec) -> list[ClipRef]:
         return list(task.train)
 
-    def penalty(self) -> tuple[float, np.ndarray] | None:
-        """(value, flat gradient) of a regularizer at the current parameters."""
-        return None
-
-    def post_batch(self, g: np.ndarray) -> np.ndarray:
-        return g
+    def post_batch(self, g_kws: np.ndarray) -> tuple[np.ndarray, float]:
+        """(the gradient Sgd applies, the penalty value the logged loss adds)."""
+        return g_kws, 0.0
 
     def post_step(self, g_kws: np.ndarray, delta: np.ndarray) -> None:
         pass
@@ -195,10 +193,12 @@ class AnchoredPenalty(GlobalHeadStrategy):
     def importance(self, task: TaskSpec, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def penalty(self) -> tuple[float, np.ndarray] | None:
+    def post_batch(self, g_kws: np.ndarray) -> tuple[np.ndarray, float]:
         if self.anchor is None:
-            return None
-        return quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega, self.lam)
+            return g_kws, 0.0
+        value, grad = quadratic_penalty(self.model.params.flatten(), self.anchor, self.omega,
+                                        self.lam)
+        return g_kws + grad, value
 
     def after_task(self, task: TaskSpec) -> None:
         theta = self.model.params.flatten()
@@ -426,12 +426,12 @@ class Gem(GlobalHeadStrategy):
         self.fallbacks = 0
         self.projections = 0
 
-    def post_batch(self, g: np.ndarray) -> np.ndarray:
+    def post_batch(self, g_kws: np.ndarray) -> tuple[np.ndarray, float]:
         live = [buf for buf in self.buffers if buf]
         if not live:
-            return g
+            return g_kws, 0.0
         G = np.stack([self._grad_on(buf) for buf in live])
-        g_new, info = gem_project(g, G)
+        g_new, info = gem_project(g_kws, G)
         if info["projected"]:
             self.projections += 1
             if not info["converged"]:
@@ -440,7 +440,7 @@ class Gem(GlobalHeadStrategy):
                     "gradient projection did not converge; using raw gradient",
                     RuntimeWarning,
                 )
-        return g_new
+        return g_new, 0.0
 
     def after_task(self, task: TaskSpec) -> None:
         refs = list(task.train)

@@ -4,10 +4,10 @@ One run = pretrain on task 0, then each incremental task in order, with the
 strategy hooks wired into every step:
 
     backward(task loss) -> g_kws
-    penalty() -> (value, grad) or None   (anchor penalties, once per step)
-    g = post_batch(g_kws + grad)          (gradient projection)
+    g, penalty = post_batch(g_kws)   (anchor penalty gradient, or GEM projection)
     delta = Sgd.step(g)
-    post_step(g_kws, delta)               (path-integral accounting)
+    post_step(g_kws, delta)          (path-integral accounting)
+    logged loss = task loss + penalty
 
 After each task the strategy consolidates, and every learned task is
 evaluated with eval-mode batch norm into that task's row of the accuracy
@@ -190,9 +190,8 @@ class FeatureCache:
         cls = strategy_class(cfg.strategy).pretrained_by
         key = (cls, _pretraining_key(cfg))
         if key not in self._pretrained:
-            ctx = TrainContext(cfg=cfg, features=self)
-            producer, task = cls(ctx), self.stream.task(0)
-            log, seconds = _train_task(cfg, ctx, producer, task)
+            producer, task = cls(TrainContext(cfg=cfg, features=self)), self.stream.task(0)
+            log, seconds = _train_task(producer, task)
             # the producer is dropped and `restore_into` copies, so no copy here
             state = [Segment(s.name, Tensor(s.tensor.data), s.trainable)
                      for s in producer.before_task(task).params.segments]
@@ -240,9 +239,8 @@ def _write_diagnostic(params: ad.ParameterVector, out_dir: str | None, task_id: 
     return path
 
 
-def _train_task(
-    cfg: RunConfig, ctx: TrainContext, strategy: Strategy, task: TaskSpec
-) -> tuple[list[dict], list[float]]:
+def _train_task(strategy: Strategy, task: TaskSpec) -> tuple[list[dict], list[float]]:
+    ctx, cfg = strategy.ctx, strategy.ctx.cfg
     handle = strategy.before_task(task)
     data = strategy.augment_data(task)
     if not data:
@@ -271,9 +269,8 @@ def _train_task(
                     f"non-finite loss on task {task.task_id} epoch {epoch}{where}"
                 ) from exc
             g_kws = handle.params.grad_vector()
-            penalty, pg = strategy.penalty() or (0.0, None)
-            g = g_kws if pg is None else g_kws + pg
-            delta = sgd.step(strategy.post_batch(g))
+            g, penalty = strategy.post_batch(g_kws)
+            delta = sgd.step(g)
             strategy.post_step(g_kws, delta)
             batch_losses.append(float(loss.data) + penalty)
 
@@ -302,7 +299,8 @@ def _pretraining_key(cfg: RunConfig) -> tuple:
     ))
 
 
-def _save_task_checkpoints(strategy: Strategy, out_dir: str | None, task_id: int) -> None:
+def _save_task_checkpoints(strategy: Strategy, task_id: int) -> None:
+    out_dir = strategy.ctx.cfg.out_dir
     if not out_dir:
         return
     ckpt_dir = os.path.join(out_dir, "checkpoints", f"task{task_id}")
@@ -346,7 +344,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
             ad.restore_into(strategy.before_task(task).params, state)
             rows, seconds = [dict(row) for row in rows], list(seconds)
         else:
-            rows, seconds = _train_task(cfg, ctx, strategy, task)
+            rows, seconds = _train_task(strategy, task)
         training_log += rows
         epoch_seconds += seconds
         strategy.after_task(task)
@@ -355,7 +353,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
         ]
         accounting = strategy.accounting()
         extra_params_by_task.append(accounting.extra_params)
-        _save_task_checkpoints(strategy, cfg.out_dir, t)
+        _save_task_checkpoints(strategy, t)
 
     report = build_report(
         R,

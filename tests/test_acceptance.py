@@ -15,7 +15,7 @@ import gradcheck
 import oracles
 from conftest import MICRO_FLAT, micro_config
 from kwslab import autodiff as ad
-from kwslab import metrics, models, trainer
+from kwslab import cli, metrics, models, trainer
 from kwslab.autodiff import Tensor
 from kwslab.config import config_from_mapping
 from kwslab.models import (
@@ -37,17 +37,14 @@ DRIFT_BASE = {"synth.freq_jitter": "0.03", "pcl.encoder_lr_scale": "0.1"}
 
 
 def _sweep(strategies, base, seeds=SEEDS):
-    """Every strategy at every seed; the runs of a seed share one stream's
-    features."""
-    reports = {}
-    for seed in seeds:
-        features = None
-        for strategy in strategies:
-            cfg = config_from_mapping({"strategy": strategy, "seed": str(seed), **base})
-            if features is None:
-                features = trainer.FeatureCache(cfg.seed, cfg.stream)
-            reports[strategy, seed] = trainer.run(cfg, features=features)
-    return reports
+    """Every strategy at every seed, seed by seed, through the program's
+    sweep loop in one process: the runs of a seed share one stream's
+    features. Every run must finish."""
+    cfgs = [config_from_mapping({"strategy": strategy, "seed": str(seed), **base})
+            for seed in seeds for strategy in strategies]
+    reports, failed = cli._run_sweep(cfgs, jobs=1)
+    assert failed == [], [entry["error"] for entry in failed]
+    return {(report.strategy, report.seed): report for report in reports}
 
 
 def _majority(votes):

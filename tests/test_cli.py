@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -109,6 +110,16 @@ def test_sweep_seeds_are_checked_as_ints(tmp_path):
         with pytest.raises(ConfigError) as err:
             _sweep_configs({"strategies": ["finetune"], "seeds": [seed]}, str(tmp_path))
         assert err.value.field == "seed"
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "utf16.cfg"
+    cfg_path.write_bytes(b"\xff\xfe" + "strategy = finetune\n".encode("utf-16-le"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {cfg_path}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -485,24 +496,50 @@ def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
 SEVEN = ["standalone", "pcl", "nr", "finetune", "ewc", "si", "gem"]
 
 
+def kill_gem_with(signum):
+    """Make gem's run send `signum` to its own process."""
+    def setup(monkeypatch):
+        real_run = cli.run_training
+
+        def run(cfg, features=None):
+            if cfg.strategy == "gem":
+                os.kill(os.getpid(), signum)
+            return real_run(cfg, features=features)
+
+        monkeypatch.setattr(cli, "run_training", run)
+    return setup
+
+
+def refuse_gem_fork(monkeypatch):
+    """Make the fork of gem's child fail as fork does when out of processes."""
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(process):
+        if process._args[0].strategy == "gem":
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+
+
 @FORK_ONLY
+@pytest.mark.parametrize("setup, error", [
+    pytest.param(kill_gem_with(signal.SIGKILL), "killed by SIGKILL", id="SIGKILL"),
+    pytest.param(kill_gem_with(getattr(signal, "SIGRTMIN", 0) + 6), "killed by signal 40",
+                 id="SIGRTMIN+6", marks=pytest.mark.skipif(
+                     getattr(signal, "SIGRTMIN", 0) != 34, reason="Linux's real-time signals")),
+    pytest.param(refuse_gem_fork, f"BlockingIOError: [Errno {errno.EAGAIN}]", id="fork-fails"),
+])
 def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, capsys,
-                                                                  monkeypatch):
-    """SIGKILL on the child of gem's run: gem is listed under `failed` with
-    the signal's name, while finetune, which runs beside it, and nr, which
-    starts after it, finish and are compared. The sweep exits 2 with a
-    one-line error."""
+                                                                  monkeypatch, setup, error):
+    """gem's child is killed by a signal, named or not, or cannot be forked:
+    gem is listed under `failed` with why, while finetune, which runs beside
+    it, and nr, which starts after it, finish and are compared. The sweep
+    exits 2 with a one-line error."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     root = tmp_path / "sweeps"
     path = write_sweep(tmp_path, ["finetune", "gem", "nr"])
-    real_run = cli.run_training
-
-    def run(cfg, features=None):
-        if cfg.strategy == "gem":
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real_run(cfg, features=features)
-
-    monkeypatch.setattr(cli, "run_training", run)
+    setup(monkeypatch)
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: KwslabError: 1 of 3 runs failed; comparison.json lists them under 'failed'\n"
@@ -510,7 +547,7 @@ def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, caps
     doc = json.loads((root / "comparison.json").read_text())
     assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
     assert [(f["strategy"], f["seed"]) for f in doc["failed"]] == [("gem", 0)]
-    assert "SIGKILL" in doc["failed"][0]["error"]
+    assert error in doc["failed"][0]["error"]
     assert multiprocessing.active_children() == []
 
 
@@ -614,11 +651,11 @@ def pretrainings_of(tmp_path, monkeypatch, argv):
     log = tmp_path / "pretrained.log"
     real_train_task = trainer._train_task
 
-    def logging_train_task(cfg, ctx, strategy, task, *args):
+    def logging_train_task(strategy, task):
         if task.is_pretrain:
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{cfg.strategy} {strategy.name}\n")
-        return real_train_task(cfg, ctx, strategy, task, *args)
+                fh.write(f"{strategy.ctx.cfg.strategy} {strategy.name}\n")
+        return real_train_task(strategy, task)
 
     monkeypatch.setattr(trainer, "_train_task", logging_train_task)
     assert main(argv) == 0

@@ -419,7 +419,9 @@ def test_grad_probe_leaves_no_side_effects(ctx):
 
 def test_ewc_lifecycle(ctx):
     ewc = Ewc(ctx)
-    assert ewc.penalty() is None
+    g_kws = np.ones(ewc.model.params.trainable_count)
+    g, value = ewc.post_batch(g_kws)
+    assert g is g_kws and value == 0.0  # no anchor yet
     assert [n for n, _ in ewc.checkpoint_items()] == ["model"]
 
     task0 = ctx.stream.task(0)
@@ -427,15 +429,16 @@ def test_ewc_lifecycle(ctx):
     assert ewc.anchor is not None
     assert np.all(ewc.omega >= 0.0)
     assert np.any(ewc.omega > 0.0)
-    assert ewc.penalty()[0] == 0.0  # still at the anchor
+    assert ewc.post_batch(g_kws)[1] == 0.0  # still at the anchor
     assert [n for n, _ in ewc.checkpoint_items()] == ["model", "ewc_state"]
 
     theta = ewc.model.params.flatten()
     ewc.model.params.unflatten(theta + 1e-3)
-    assert ewc.penalty()[0] > 0.0
-    value, grad = quadratic_penalty(theta + 1e-3, ewc.anchor, ewc.omega, ewc.lam)
-    assert ewc.penalty()[0] == value
-    np.testing.assert_array_equal(ewc.penalty()[1], grad)
+    g, value = ewc.post_batch(g_kws)
+    assert value > 0.0
+    expected_value, grad = quadratic_penalty(theta + 1e-3, ewc.anchor, ewc.omega, ewc.lam)
+    assert value == expected_value
+    np.testing.assert_array_equal(g, g_kws + grad)
     ewc.model.params.unflatten(theta)
 
     omega_before = ewc.omega.copy()
@@ -519,17 +522,18 @@ def test_gem_post_batch_projects_against_buffer(ctx, monkeypatch):
         )
     )
     g = np.ones(gem.model.params.trainable_count)
-    assert gem.post_batch(g) is g  # no buffers yet
+    out, penalty = gem.post_batch(g)
+    assert out is g and penalty == 0.0  # no buffers yet
 
     gem.after_task(ctx.stream.task(0))
     gb = gem._grad_on(gem.buffers[0])
-    out = gem.post_batch(-gb)
+    out, penalty = gem.post_batch(-gb)
     assert gem.projections == 1 and gem.fallbacks == 0
-    assert float(gb @ out) >= -1e-9
+    assert float(gb @ out) >= -1e-9 and penalty == 0.0
 
     monkeypatch.setattr(strategies, "_solve_dual", _dual_stuck_at_zero)
     with pytest.warns(RuntimeWarning):
-        out = gem.post_batch(-gb)
+        out, _ = gem.post_batch(-gb)
     assert gem.fallbacks == 1
     np.testing.assert_array_equal(out, -gb)
 
@@ -689,6 +693,16 @@ def test_task0_trains_as_its_pretraining_class(micro_run, strategy, same_as, nam
     _, out = micro_run(strategy)
     _, reference = micro_run(same_as)
     assert task0_segments(out, names[0]) == task0_segments(reference, names[1])
+
+
+@pytest.mark.parametrize("strategy", ["ewc", "si"])
+def test_an_anchor_penalty_at_lambda_zero_is_finetune(micro_run, strategy):
+    """At weight 0 the anchor penalty adds exact zeros to every step's
+    gradient and logged loss, so the run is finetune's, bit for bit."""
+    plain, _ = micro_run("finetune")
+    zero, _ = micro_run(strategy, **{f"{strategy}.lambda": 0.0})
+    assert zero.matrix == plain.matrix
+    assert zero.training_log == plain.training_log
 
 
 def test_nr_run_accounts_buffer(micro_run):

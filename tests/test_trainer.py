@@ -408,18 +408,60 @@ def test_seed_changes_the_run():
 
 def test_penalty_is_logged_into_batch_loss(ctx):
     class Bumped(FineTune):
-        def penalty(self):
-            return 0.125, np.zeros(self.model.params.trainable_count)
+        def post_batch(self, g_kws):
+            return g_kws, 0.125
 
-    log_a, _ = trainer._train_task(ctx.cfg, ctx, Bumped(ctx), ctx.stream.task(0))
-    log_b, _ = trainer._train_task(ctx.cfg, ctx, FineTune(ctx), ctx.stream.task(0))
+    log_a, _ = trainer._train_task(Bumped(ctx), ctx.stream.task(0))
+    log_b, _ = trainer._train_task(FineTune(ctx), ctx.stream.task(0))
     for bumped, plain in zip(log_a, log_b):
         assert bumped["loss"] == pytest.approx(plain["loss"] + 0.125, abs=1e-12)
 
 
+def test_post_batch_is_the_one_gradient_seam(monkeypatch):
+    """post_batch gets the handle's task-loss gradient; Sgd applies the
+    gradient it returns; post_step sees the same task-loss gradient and the
+    applied update; the logged loss is the task loss plus the returned
+    penalty."""
+    ctx = micro_ctx(**{"sgd.momentum": 0.0})
+    grads, losses, steps = [], [], []
+    real_grad_vector, real_loss = ad.ParameterVector.grad_vector, ad.softmax_cross_entropy
+
+    def recording_grad_vector(params):
+        grads.append(real_grad_vector(params))
+        return grads[-1]
+
+    def recording_loss(logits, y):
+        losses.append(real_loss(logits, y))
+        return losses[-1]
+
+    class Recording(FineTune):
+        def post_batch(self, g_kws):
+            g = 0.5 * g_kws + 1e-3
+            steps.append({"g_kws": g_kws, "g": g, "theta": self.model.params.flatten()})
+            return g, 0.25
+
+        def post_step(self, g_kws, delta):
+            steps[-1].update(post_g_kws=g_kws, delta=delta, after=self.model.params.flatten())
+
+    monkeypatch.setattr(ad.ParameterVector, "grad_vector", recording_grad_vector)
+    monkeypatch.setattr(ad, "softmax_cross_entropy", recording_loss)
+    log, _ = trainer._train_task(Recording(ctx), ctx.stream.task(0))
+
+    assert len(steps) == len(grads) == len(losses) > 0
+    lr = ctx.cfg.sgd.learning_rate
+    for step, grad in zip(steps, grads):
+        assert step["g_kws"] is grad and step["post_g_kws"] is grad
+        np.testing.assert_array_equal(step["delta"], -lr * step["g"])
+        np.testing.assert_array_equal(step["after"], step["theta"] + step["delta"])
+    per_epoch = len(losses) // len(log)
+    for epoch, row in enumerate(log):
+        batch = losses[epoch * per_epoch : (epoch + 1) * per_epoch]
+        assert row["loss"] == float(np.mean([float(loss.data) + 0.25 for loss in batch]))
+
+
 def test_anchor_penalty_is_evaluated_once_per_step(ctx, monkeypatch):
     si = Si(ctx)
-    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(0))
+    trainer._train_task(si, ctx.stream.task(0))
     si.after_task(ctx.stream.task(0))
 
     calls = {"penalty": 0, "step": 0}
@@ -435,7 +477,7 @@ def test_anchor_penalty_is_evaluated_once_per_step(ctx, monkeypatch):
 
     monkeypatch.setattr(strategies, "quadratic_penalty", counting_penalty)
     monkeypatch.setattr(Sgd, "step", counting_step)
-    trainer._train_task(ctx.cfg, ctx, si, ctx.stream.task(1))
+    trainer._train_task(si, ctx.stream.task(1))
     assert calls["step"] > 0
     assert calls["penalty"] == calls["step"]
 
@@ -446,7 +488,7 @@ def test_empty_augmented_data_rejected(ctx):
             return []
 
     with pytest.raises(EmptyDataError):
-        trainer._train_task(ctx.cfg, ctx, Starved(ctx), ctx.stream.task(0))
+        trainer._train_task(Starved(ctx), ctx.stream.task(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -472,9 +514,9 @@ def test_a_nan_abort_saves_the_parameters_being_trained(tmp_path, monkeypatch, s
         trained.append(params)
         return real_sgd(params, *args, **kwargs)
 
-    def tracking_train_task(cfg, ctx, strategy, task):
+    def tracking_train_task(strategy, task):
         task_ids.append(task.task_id)
-        return real_train_task(cfg, ctx, strategy, task)
+        return real_train_task(strategy, task)
 
     def loss(logits, y):
         if task_ids[-1] == 1:
