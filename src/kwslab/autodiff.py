@@ -174,9 +174,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     else:
         xp = np.ascontiguousarray(x.data)
 
-    y = np.matmul(w.data[:, :, 0], xp[:, :, :span:stride])
+    # The taps tap-major: wt[j] is tap j's (c_out, c_in) matrix and wt[j].T
+    # its transpose. A C-contiguous copy lets matmul pass both to BLAS
+    # without a per-tap copy. At one output frame matmul takes a
+    # matrix-vector path that sums a strided and a contiguous matrix in
+    # different orders, so there the taps stay strided views of w, as the
+    # formulation this kernel reproduces has them.
+    wt = w.data.transpose(2, 0, 1)
+    if t_out > 1:
+        wt = np.ascontiguousarray(wt)
+    y = np.matmul(wt[0], xp[:, :, :span:stride])
     for j in range(1, k):
-        y += np.matmul(w.data[:, :, j], xp[:, :, j : j + span : stride])
+        y += np.matmul(wt[j], xp[:, :, j : j + span : stride])
     if b is not None:
         if b.data.shape != (c_out,):
             raise ShapeError(f"conv1d bias shape {b.data.shape} != ({c_out},)")
@@ -189,7 +198,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, :, j : j + span : stride] += np.matmul(w.data[:, :, j].T, gy)
+                gxp[:, :, j : j + span : stride] += np.matmul(wt[j].T, gy)
             x.accumulate_grad(gxp[:, :, pad_l : pad_l + t_in])
         if w.requires_grad:
             # np.tensordot(gy, tap, axes=([0, 2], [0, 2])) per tap, with the

@@ -87,9 +87,10 @@ class _ForkTree:
     """At most `jobs` forked children, each running one sweep config on the
     feature cache it inherits copy-on-write and sending `_sweep_worker`'s
     result back through a pipe; `done(index, result)` gets each result.
-    Forking is safe here because a `FeatureCache` has joined its extraction
-    threads before it is returned, and OpenBLAS stops its own threads at a
-    fork."""
+    Forking is safe here because the sweep has required its cache's last
+    task first, so every row is in and the cache's extraction helpers have
+    been reaped; the process runs no thread of its own, and OpenBLAS stops
+    its threads at a fork."""
 
     def __init__(self, fork_context, jobs: int, done):
         self._context, self._jobs, self._done = fork_context, jobs, done
@@ -176,10 +177,11 @@ def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
 def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[dict]]:
     """Run `cfgs` through `_sweep_worker` one stream at a time: a run of
     consecutive configs with one seed and stream section. Each stream's
-    `FeatureCache` is built here once and dropped before the next one is
-    built; a cache that cannot be built fails every run of its stream. At
-    `jobs` 1, or where processes cannot fork, every run runs in this
-    process; otherwise each runs in a forked child, at most `jobs` at once.
+    `FeatureCache` is built here once, complete before its first run, and
+    dropped before the next one is built; a cache that cannot be built
+    fails every run of its stream. At `jobs` 1, or where processes cannot
+    fork, every run runs in this process; otherwise each runs in a forked
+    child, at most `jobs` at once.
     Prints one progress line per run, in config order, and returns the
     finished runs' reports and an entry per failed run."""
     reports, failed, results = [], [], {}
@@ -209,6 +211,7 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
             t0 = time.perf_counter()
             try:
                 features = FeatureCache(seed, stream_cfg)
+                features.require(len(features.stream.tasks) - 1)
             except Exception as exc:
                 error = _error_text(exc), time.perf_counter() - t0
                 for index, _ in stream:

@@ -18,6 +18,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyDataError, ShapeError, WavFormatError
 from .fileio import replace_on_success
@@ -127,15 +128,14 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyDataError(f"clip {clip.source_id!r} has no samples")
-    n_fr = num_frames(x.size)
+    num_frames(x.size)  # a clip shorter than one frame is a ShapeError
 
     # pre-emphasis; first sample passes through unchanged
     y = np.empty_like(x)
     y[0] = x[0]
     y[1:] = x[1:] - PREEMPHASIS * x[:-1]
 
-    idx = np.arange(FRAME_LEN)[None, :] + HOP_LEN * np.arange(n_fr)[:, None]
-    frames = y[idx] * HANN_WINDOW[None, :]
+    frames = sliding_window_view(y, FRAME_LEN)[::HOP_LEN] * HANN_WINDOW
 
     spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = spec.real**2 + spec.imag**2

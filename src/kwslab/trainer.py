@@ -16,18 +16,21 @@ rows each task hands back, and the footprint fields from the strategy's
 `accounting()`. A non-finite loss saves the parameters being trained as
 `diagnostic_task<t>.ckpt`, then raises `NanLossError`. A seed and a stream
 section name a stream: the `FeatureCache` built from the pair builds it,
-once, and holds every clip's features before the first task, so
-`epoch_seconds` covers training only. It also holds one task-0 state per
+once, and extracts its clips' features in forked helper processes, one per
+further usable CPU. Before each task the run waits at the cache's barrier,
+`require(t)`, until every clip of tasks 0..t is in, so a lone run trains
+task 0 while the helpers extract the later tasks, and `epoch_seconds`
+covers training only. The cache also holds one task-0 state per
 pretraining class (`Strategy.pretrained_by`): an Si's for the global-head
 strategies and a Pcl's for pcl and standalone. `FeatureCache.pretraining`
 trains a class's state on its first call and keeps its task-0 handle's
 named segments; every run restores a copy of them into its own task-0
 handle. A sweep that forks its runs calls it in the parent first, so each
-child only restores. Feature extraction runs on every CPU the process may
-use; training and eval are single-threaded. A run is bit-reproducible for a
-fixed config at a fixed BLAS thread count, whatever the CPU count; only
-wall-clock timings differ between repeats. A different BLAS thread count
-may change how BLAS sums a GEMM, and with it the last bits of the numbers.
+child only restores. Training and eval run in one single-threaded process.
+A run is bit-reproducible for a fixed config at a fixed BLAS thread count,
+whatever the CPU count; only wall-clock timings differ between repeats. A
+different BLAS thread count may change how BLAS sums a GEMM, and with it the
+last bits of the numbers.
 """
 
 from __future__ import annotations
@@ -35,10 +38,15 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import math
+import mmap
 import os
 import platform
-import threading
+import select
+import signal
+import struct
 import time
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -70,22 +78,20 @@ def stream_fingerprint(stream: TaskStream) -> str:
 
 # (mallopt parameter from glibc's malloc.h, value): M_MMAP_THRESHOLD 32 MiB
 # and M_TRIM_THRESHOLD 256 MiB, the two values measured (setting only one of
-# them does not stop the page faults), and M_ARENA_MAX 1, so the extraction
-# threads share the main arena instead of each keeping its own.
-_MALLOC_POLICY = ((-3, 32 << 20), (-1, 256 << 20), (-8, 1))
+# them does not stop the page faults).
+_MALLOC_POLICY = ((-3, 32 << 20), (-1, 256 << 20))
 
 
 def _set_allocator_policy() -> bool:
-    """Keep freed memory in the process between steps, in one arena. glibc's
-    defaults hand each step's large temporaries (MFCC frames, conv and BN
+    """Keep freed memory in the process between steps. glibc's defaults
+    hand each step's large temporaries (MFCC frames, conv and BN
     activations) back to the kernel, and the next step page-faults them in
     again. On glibc this sets an mmap threshold of 32 MiB and a trim
-    threshold of 256 MiB for the whole process, and caps it at one malloc
-    arena: without the cap each `FeatureCache` extraction thread gets an
-    arena of its own that keeps its freed MFCC temporaries after the
-    threads end, which raised a WAV-corpus run's peak RSS by 2-3 MB.
-    Elsewhere it does nothing. No computed number depends on it. Returns
-    whether every `mallopt` call succeeded."""
+    threshold of 256 MiB for the whole process; `FeatureCache`'s extraction
+    helpers are forked after it is set, so they inherit it. No malloc arena
+    cap is set: the package starts no threads, so the main arena is the
+    only one. Elsewhere it does nothing. No computed number depends on it.
+    Returns whether every `mallopt` call succeeded."""
     if platform.libc_ver()[0] != "glibc":
         return False
     mallopt = ctypes.CDLL(None).mallopt
@@ -102,24 +108,68 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# one report on a helper's pipe: a finished row's index, or -1 - row for a
+# row whose extraction raised (the helper stops there). A write this short
+# is atomic on a pipe, and every read takes a multiple of its size, so no
+# read splits a report.
+_REPORT = struct.Struct("<i")
+
+
+def _end_helper(helpers: dict, fd: int, kill: bool) -> list[int]:
+    """End the helper that reports on pipe `fd`: kill it if asked, reap it
+    and close the pipe. Returns the rows it was given."""
+    pid, rows = helpers.pop(fd)
+    if kill:
+        os.kill(pid, signal.SIGKILL)  # an unreaped child is still there to kill
+    os.waitpid(pid, 0)
+    os.close(fd)
+    return rows
+
+
+def _kill_helpers(helpers: dict, owner: int) -> None:
+    """A dropped cache's finalizer. A forked copy of the cache does not own
+    the helpers, so it leaves them alone."""
+    if os.getpid() == owner:
+        for fd in list(helpers):
+            _end_helper(helpers, fd, kill=True)
+
+
 class FeatureCache:
     """The stream that `(seed, stream_cfg)` names, built and fingerprinted
     once, and the MFCC features of its train and test clips by clip URI.
 
     Building the cache first sets the process's allocator policy
-    (`_set_allocator_policy`), then extracts every clip into one float64
-    block of shape [n_clips, *dsp.FEATURE_SHAPE], in stream order. The
-    calling thread and one pool thread per further usable CPU each take a
-    stripe of the rows; `mfcc` is a pure function of its clip, so every row
-    is bit for bit what a one-at-a-time extraction gives, whatever the CPU
-    count. The threads are joined before the constructor returns, so
-    training, eval and a later `--jobs N` fork run on one thread. If clips
-    fail, the first failing one in stream order raises its own error.
+    (`_set_allocator_policy`). Every clip has one row of a float64 block of
+    shape [n_clips, *dsp.FEATURE_SHAPE], in stream order, so rows
+    [0, end of task t) hold every clip of tasks 0..t. The block is one
+    shared anonymous mmap. One helper process per further usable CPU is
+    forked (`os.fork`, no `multiprocessing`); each writes its rows into the
+    block in stream order and reports each finished row on a pipe of its
+    own. Task 0's rows are striped over this process and the helpers, and
+    the later rows over the helpers alone. The constructor returns once
+    task 0's rows are in, so a lone run trains task 0 while the helpers
+    extract the later tasks. `mfcc` is a pure function of its clip, so every
+    row is bit for bit what a one-at-a-time extraction gives, whatever the
+    CPU count. With one usable CPU, or without `os.fork`, there are no
+    helpers, and this process extracts each task's rows at its barrier.
 
-    Every run path builds its features here before its first step: a lone
-    `run`, and a sweep once per stream (forked sweep runs inherit it). One
-    cache serves every run whose config names its pair, on exactly the clips
-    it extracted; a clip outside the stream is a `StreamMismatchError`. It
+    `require(t)` is the barrier: it returns once tasks 0..t are in, and
+    `__call__` waits the same way for a row that is not in yet. If clips
+    fail, the first failing one in stream order raises its own error: at
+    the first barrier after a helper reports it, and never later than the
+    barrier of its task. This process raises it by extracting that row
+    itself, so the error and its traceback are the real ones. A helper that
+    ends without reporting all its rows hands them back to this process.
+    The helpers end once every row is in; `close()` kills and reaps any
+    still alive, and a barrier that raises closes the cache first. A
+    closed cache still serves every clip: its missing rows are extracted
+    here.
+
+    Every run path asks for its task's rows before the task: a lone `run`
+    at each task, and a sweep for the last task before its first run, so
+    forked sweep runs inherit a complete block and no helper. One cache
+    serves every run whose config names its pair, on exactly the clips it
+    extracted; a clip outside the stream is a `StreamMismatchError`. It
     also holds the task-0 states those runs adopt (`pretraining`).
     """
 
@@ -130,54 +180,154 @@ class FeatureCache:
         self.stream_fingerprint = stream_fingerprint(self.stream)
         self._pretrained: dict[tuple, tuple[list[Segment], list[dict], list[float]]] = {}
         self._row: dict[str, int] = {}
-        refs: list[ClipRef] = []
+        self._refs: list[ClipRef] = []
+        self._task_end: list[int] = []  # rows [0, end) hold every clip of tasks 0..t
         for task in self.stream.tasks:
             for ref in (*task.train, *task.test):
                 if ref.uri not in self._row:
-                    self._row[ref.uri] = len(refs)
-                    refs.append(ref)
-        self._block = np.empty((len(refs), *FEATURE_SHAPE))
-        self._extract_rows(refs, max(1, min(_usable_cpus(), len(refs))))
+                    self._row[ref.uri] = len(self._refs)
+                    self._refs.append(ref)
+            self._task_end.append(len(self._refs))
+        n = len(self._refs)
+        shape = (n, *FEATURE_SHAPE)
+        # mmap's default on Unix is MAP_SHARED: a helper's writes land here
+        shared = mmap.mmap(-1, max(1, math.prod(shape) * 8))
+        self._writable = np.ndarray(shape, dtype=np.float64, buffer=shared)
+        self._block = self._writable.view()  # what `__call__` hands out
         self._block.flags.writeable = False
+        self._done = np.zeros(n, dtype=bool)
+        self._mine = np.ones(n, dtype=bool)  # rows this process extracts
+        self._ready = 0  # rows [0, ready) are done
+        self._failed: dict[int, Exception | None] = {}  # None: a helper reported it
+        self._helpers: dict[int, tuple[int, list[int]]] = {}  # pipe fd -> (pid, rows)
+        weakref.finalize(self, _kill_helpers, self._helpers, os.getpid())
+        try:
+            self._start_helpers(_usable_cpus() - 1)
+            self.require(0)
+        except BaseException:
+            self.close()
+            raise
 
     def _extract(self, ref: ClipRef) -> np.ndarray:
         return mfcc(pad_or_trim(self.stream.load_clip(ref))).T
 
-    def _extract_rows(self, refs: list[ClipRef], stripes: int) -> None:
-        """Fill the block: stripe s takes rows s, s+stripes, ...; the calling
-        thread runs stripe 0. A stripe stops at a row past the earliest
-        failing row recorded so far, so every row before the first failure
-        in stream order is extracted and that failure is the one raised."""
-        stop_after, error = len(refs), None  # the earliest failing row so far
-        lock = threading.Lock()
+    def _start_helpers(self, count: int) -> None:
+        """Fork up to `count` helpers. Task 0's rows go round-robin to this
+        process and the helpers, the later rows round-robin to the helpers.
+        A helper that cannot be forked leaves its rows to this process."""
+        n0, n = self._task_end[0], len(self._refs)
+        count = min(count, n - n0) if hasattr(os, "fork") else 0
+        for h in range(1, count + 1):
+            rows = [*range(h, n0, count + 1), *range(n0 + h - 1, n, count)]
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM
+                os.close(reader)
+                os.close(writer)
+                continue
+            if pid == 0:
+                self._helper(rows, reader, writer)
+            os.close(writer)
+            self._mine[rows] = False
+            self._helpers[reader] = (pid, rows)
 
-        def stripe(s: int) -> None:
-            nonlocal stop_after, error
-            for i in range(s, len(refs), stripes):
-                if i > stop_after:
-                    return
-                try:
-                    self._block[i] = self._extract(refs[i])
-                except Exception as exc:
-                    with lock:
-                        if i < stop_after:
-                            stop_after, error = i, exc
-                    return
-
-        pool = [threading.Thread(target=stripe, args=(s,), daemon=True)
-                for s in range(1, stripes)]
-        for thread in pool:
-            thread.start()
+    def _helper(self, rows: list[int], reader: int, fd: int) -> None:
+        """A forked helper's whole life: extract `rows` in order into the
+        block, report each on `fd`, and stop at the first row that raises.
+        It holds no pipe's read end, so its writes fail once the parent is
+        gone. It leaves through `os._exit`, so no handler of the parent's
+        runs."""
+        code = 1
         try:
-            stripe(0)
-        except BaseException:  # interrupted: the pool stops at its next clip
-            stop_after = 0
-            raise
+            for other in (reader, *self._helpers):
+                os.close(other)
+            for i in rows:
+                try:
+                    self._writable[i] = self._extract(self._refs[i])
+                except Exception:
+                    os.write(fd, _REPORT.pack(-1 - i))
+                    break
+                os.write(fd, _REPORT.pack(i))
+            code = 0
         finally:
-            for thread in pool:
-                thread.join()
+            os._exit(code)
+
+    def _read_helpers(self, timeout: float | None) -> None:
+        """Read every report the helpers have written, waiting up to
+        `timeout` seconds (None: until one has written or ended). A helper
+        that has ended is reaped, and its unreported rows come back here.
+        A helper can run ahead of its last read by a pipe buffer of
+        reports (16384 rows on Linux) before its writes block."""
+        poller = select.poll()
+        for fd in self._helpers:
+            poller.register(fd, select.POLLIN)
+        for fd, _ in poller.poll(None if timeout is None else 1000 * timeout):
+            data = os.read(fd, 1 << 16)
+            if not data:
+                self._mine[_end_helper(self._helpers, fd, kill=False)] = True
+                continue
+            for (i,) in _REPORT.iter_unpack(data):
+                if i >= 0:
+                    self._done[i] = True
+                else:
+                    self._failed.setdefault(-1 - i, None)
+
+    def _extract_here(self, i: int) -> None:
+        try:
+            self._writable[i] = self._extract(self._refs[i])
+        except Exception as exc:
+            self._failed[i] = exc
+        else:
+            self._done[i] = True
+
+    def _raise_failed(self, i: int) -> None:
+        """Raise row i's error: the one held, or a helper's, by extracting
+        the row here. Extraction is deterministic, so the latter raises."""
+        error = self._failed[i]
         if error is not None:
             raise error
+        self._writable[i] = self._extract(self._refs[i])
+        del self._failed[i]
+        self._done[i] = True
+
+    def require(self, task_id: int) -> None:
+        """Return once every clip of tasks 0..`task_id` is in the block."""
+        self._wait_for(self._task_end[task_id])
+
+    def _wait_for(self, end: int) -> None:
+        """Return once rows [0, end) are in, extracting this process's rows
+        among them and reading the helpers' reports. A failure reported by
+        then is raised at once, after every earlier row is in."""
+        try:
+            if self._helpers:
+                self._read_helpers(0)
+            while True:
+                first_failed = min(self._failed, default=None)
+                target = end if first_failed is None else first_failed
+                while self._ready < target and self._done[self._ready]:
+                    self._ready += 1
+                if self._ready < target:
+                    todo = self._mine[self._ready:target] & ~self._done[self._ready:target]
+                    if todo.any():
+                        self._extract_here(self._ready + int(np.argmax(todo)))
+                    else:
+                        self._read_helpers(None)
+                elif first_failed is not None:
+                    self._raise_failed(first_failed)
+                else:
+                    break
+        except BaseException:
+            self.close()
+            raise
+        if self._ready == len(self._refs):
+            self.close()
+
+    def close(self) -> None:
+        """Kill and reap every helper still alive. The rows they had not
+        reported are extracted here if they are asked for."""
+        for fd in list(self._helpers):
+            self._mine[_end_helper(self._helpers, fd, kill=True)] = True
 
     def pretraining(self, cfg: RunConfig) -> tuple[list[Segment], list[dict], list[float]]:
         """The task-0 state that a run of `cfg` adopts, by its strategy's
@@ -205,6 +355,8 @@ class FeatureCache:
                 f"clip {ref.uri!r} is not in the feature cache of stream "
                 f"{self.stream_fingerprint}"
             )
+        if row >= self._ready:
+            self._wait_for(row + 1)
         return self._block[row]
 
 
@@ -313,16 +465,25 @@ def _save_task_checkpoints(strategy: Strategy, task_id: int) -> None:
 
 def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
     """Train and evaluate one config; `features` may be a cache shared with
-    other runs on the config's stream, and is otherwise built here. Task 0 is
-    always adopted from the cache's state for the run's pretraining class."""
+    other runs on the config's stream, and is otherwise built here and
+    closed when the run returns or raises. Task 0 is always adopted from
+    the cache's state for the run's pretraining class."""
     cfg.validate()
     if features is None:
         features = FeatureCache(cfg.seed, cfg.stream)
-    elif (features.seed, features.stream_cfg) != (cfg.seed, cfg.stream):
+        try:
+            return _run_on(cfg, features)
+        finally:
+            features.close()
+    if (features.seed, features.stream_cfg) != (cfg.seed, cfg.stream):
         raise StreamMismatchError(
             f"feature cache is for seed {features.seed} and {features.stream_cfg}, "
             f"config names seed {cfg.seed} and {cfg.stream}"
         )
+    return _run_on(cfg, features)
+
+
+def _run_on(cfg: RunConfig, features: FeatureCache) -> RunReport:
     stream = features.stream
     ctx = TrainContext(cfg=cfg, features=features)
     strategy = make_strategy(ctx)
@@ -339,6 +500,7 @@ def run(cfg: RunConfig, features: FeatureCache | None = None) -> RunReport:
 
     for task in stream.tasks:
         t = task.task_id
+        features.require(t)  # outside the epoch clock
         if task.is_pretrain:
             state, rows, seconds = features.pretraining(cfg)
             ad.restore_into(strategy.before_task(task).params, state)

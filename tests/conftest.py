@@ -51,3 +51,51 @@ def micro_run(tmp_path_factory):
         return cache[key]
 
     return get
+
+
+def log_extractions(monkeypatch, path):
+    """Make every process, forked extraction helpers included, append one
+    `<pid> <clip uri>` line to `path` per clip it extracts. Returns a
+    function that reads the log as (pid, uri) pairs."""
+    from kwslab import trainer
+
+    real_mfcc = trainer.mfcc
+
+    def logging_mfcc(clip, *args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {clip.source_id}\n")
+        return real_mfcc(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", logging_mfcc)
+
+    def read():
+        if not os.path.exists(path):
+            return []
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        return [(int(pid), uri) for pid, uri in (line.split(" ", 1) for line in lines)]
+
+    return read
+
+
+def record_forks(monkeypatch):
+    """Record the pid of every child that `os.fork` makes from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every pid names a process that has ended and been reaped (a zombie
+    still takes signal 0)."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -59,6 +59,25 @@ def naive_mfcc(samples, sample_rate=16000, frame_len=480, hop=160, n_fft=512,
     return out
 
 
+def mfcc_gather(samples, window, filterbank, dct, frame_len=480, hop=160, n_fft=512,
+                preemphasis=0.97, log_floor=1e-10):
+    """MFCC with its frames gathered through an index array, the
+    formulation kwslab.dsp.mfcc must reproduce bit for bit. It takes the
+    window, mel filterbank and DCT tables, so only the steps are compared."""
+    x = np.asarray(samples, dtype=np.float64)
+    y = np.empty_like(x)
+    y[0] = x[0]
+    y[1:] = x[1:] - preemphasis * x[:-1]
+    n_frames = 1 + (x.size - frame_len) // hop
+    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = y[idx] * window[None, :]
+    spec = np.fft.rfft(frames, n=n_fft, axis=1)
+    power = spec.real**2 + spec.imag**2
+    mel_energy = np.einsum("fb,mb->fm", power, filterbank, optimize=False)
+    log_mel = np.log(np.maximum(mel_energy, log_floor))
+    return np.einsum("fm,km->fk", log_mel, dct, optimize=False)
+
+
 # -- finite differences --------------------------------------------------------
 
 def central_diff(f, x, h=1e-4):

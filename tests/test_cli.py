@@ -18,7 +18,33 @@ from kwslab.cli import _run_sweep, _sweep_configs, main
 from kwslab.errors import ConfigError, NanLossError
 from kwslab.metrics import compare_by_seed, load_report, reports_equivalent
 
-from conftest import MICRO_FLAT, micro_config
+from conftest import MICRO_FLAT, assert_reaped, log_extractions, micro_config, record_forks
+
+
+def log_extractions_in_runs(monkeypatch, path):
+    """Make every process log each clip it extracts while a sweep run runs
+    in it, in the sweep's process or a forked one, to `path`. Returns a
+    function that reads the log as `log_extractions` does."""
+    running = []
+    real_run = cli.run_training
+
+    def run(cfg, features=None):
+        running.append(cfg)
+        try:
+            return real_run(cfg, features=features)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(cli, "run_training", run)
+    real_mfcc = trainer.mfcc
+    read = log_extractions(monkeypatch, path)
+    logging_mfcc = trainer.mfcc
+
+    def mfcc(clip, *args, **kwargs):
+        return (logging_mfcc if running else real_mfcc)(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", mfcc)
+    return read
 
 
 def write_micro_config(path, strategy="finetune", **extra):
@@ -103,6 +129,81 @@ def test_run_over_a_truncated_wav_exits_2_with_a_wav_format_error(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: WavFormatError: ") and str(wav) in err
     assert err.count("\n") == 1
+
+
+def corrupt_last_task(monkeypatch):
+    """Corrupt the first training clip of a `dir` stream's last task, once
+    the stream has been split; returns the clips corrupted."""
+    real_split, corrupted = taskstream.split_corpus_dir, []
+
+    def split(corpus_dir, *args, **kwargs):
+        stream = real_split(corpus_dir, *args, **kwargs)
+        wav = pathlib.Path(corpus_dir) / stream.tasks[-1].train[0].uri
+        wav.write_bytes(wav.read_bytes()[:-1])  # the data chunk ends mid-sample
+        corrupted.append(wav)
+        return stream
+
+    monkeypatch.setattr(trainer, "split_corpus_dir", split)
+    return corrupted
+
+
+def interrupt_task0(monkeypatch):
+    real_train_task = trainer._train_task
+
+    def train_task(strategy, task):
+        if task.is_pretrain:
+            raise KeyboardInterrupt
+        return real_train_task(strategy, task)
+
+    monkeypatch.setattr(trainer, "_train_task", train_task)
+
+
+def nan_in_task1(monkeypatch):
+    real_train_task = trainer._train_task
+
+    def train_task(strategy, task):
+        if task.task_id == 1:
+            raise NanLossError("forced")
+        return real_train_task(strategy, task)
+
+    monkeypatch.setattr(trainer, "_train_task", train_task)
+
+
+@pytest.mark.parametrize("ending", ["finished", "nan", "interrupt", "corrupt"])
+def test_no_extraction_helper_outlives_a_run(tmp_path, capsys, monkeypatch, ending):
+    """`kwslab run` on a WAV corpus on 2 CPUs, one helper, whether the run
+    finishes, aborts on a NaN, is interrupted in task 0 or meets a corrupt
+    WAV in its last task: the helper is reaped before `main` returns or
+    raises. The corrupt WAV is a one-line error naming the clip, exit 2,
+    and no report."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
+    cfg_path = write_micro_config(
+        tmp_path / "dir.cfg", **{"stream.source": "dir", "stream.corpus_dir": corpus})
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    corrupted = corrupt_last_task(monkeypatch) if ending == "corrupt" else []
+    if ending == "nan":
+        nan_in_task1(monkeypatch)
+    if ending == "interrupt":
+        interrupt_task0(monkeypatch)
+    forks = record_forks(monkeypatch)
+    capsys.readouterr()
+    if ending == "finished":
+        assert main(argv) == 0
+    elif ending == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+    assert len(forks) == 1
+    assert_reaped(forks)
+    report = tmp_path / "out" / "finetune_seed0" / "report.json"
+    assert report.exists() == (ending == "finished")
+    if ending == "corrupt":
+        err = capsys.readouterr().err
+        assert err.startswith("error: WavFormatError: ") and str(corrupted[0]) in err
+        assert err.count("\n") == 1
 
 
 def test_sweep_seeds_are_checked_as_ints(tmp_path):
@@ -190,16 +291,11 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         key=lambda cfg: trainer.stream_fingerprint(trainer.stream_for(cfg.seed, cfg.stream)),
     )
 
-    extracted = Counter()
-    real_mfcc = trainer.mfcc
-
-    def counting_mfcc(clip, *args, **kwargs):
-        extracted[clip.source_id] += 1
-        return real_mfcc(clip, *args, **kwargs)
-
-    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    in_runs = log_extractions_in_runs(monkeypatch, tmp_path / "in_runs.log")
     shared, failed = _run_sweep(cfgs, jobs=1)
     monkeypatch.undo()
+    assert in_runs() == []
     assert failed == []
     out = capsys.readouterr().out
 
@@ -212,7 +308,7 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         ref.uri for stream in streams.values() for task in stream.tasks
         for ref in (*task.train, *task.test)
     )
-    assert extracted == expected
+    assert Counter(uri for _, uri in extracted()) == expected
 
     progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
     assert sorted(progress) == sorted(f"{c.strategy} seed={c.seed}" for c in cfgs)
@@ -251,6 +347,10 @@ def test_the_sweep_cache_drops_a_stream_before_building_the_next(tmp_path, monke
         def __init__(self, seed, stream_cfg):
             alive_at_build.append(len(live))
             live.add(self)
+            self.stream = trainer.stream_for(seed, stream_cfg)
+
+        def require(self, task_id):
+            pass
 
         def pretraining(self, cfg):
             pass
@@ -467,30 +567,24 @@ def test_a_failed_comparison_write_keeps_the_previous_one(tmp_path, capsys, monk
 
 @FORK_ONLY
 def test_sweep_workers_extract_each_clip_once(tmp_path, capsys, monkeypatch):
-    """At --jobs 2 the sweep's process extracts the stream once, and every
-    forked run reads the features it inherits instead of extracting them."""
+    """At --jobs 2 the sweep's process tree extracts the stream once, in the
+    sweep's process and its cache's helpers, and every forked run reads the
+    features it inherits instead of extracting them."""
     path = write_sweep(tmp_path, ["finetune", "nr", "si"])
-    log = tmp_path / "extracted.log"
-    real_mfcc = trainer.mfcc
-
-    def logging_mfcc(clip, *args, **kwargs):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {clip.source_id}\n")
-        return real_mfcc(clip, *args, **kwargs)
-
-    monkeypatch.setattr(trainer, "mfcc", logging_mfcc)
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    in_runs = log_extractions_in_runs(monkeypatch, tmp_path / "in_runs.log")
     root = tmp_path / "sweeps"
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     progress = [line.split(":")[0] for line in out.splitlines() if " wall=" in line]
     assert progress == ["finetune seed=0", "nr seed=0", "si seed=0"]
 
-    extracted = Counter(log.read_text(encoding="utf-8").splitlines())
-    assert set(extracted.values()) == {1}
-    assert {line.split()[0] for line in extracted} == {str(os.getpid())}
+    lines = extracted()
+    assert in_runs() == []
+    assert set(Counter(uri for _, uri in lines).values()) == {1}
     stream = trainer.stream_for(0, micro_config().stream)
     clips = {ref.uri for task in stream.tasks for ref in (*task.train, *task.test)}
-    assert {line.split()[1] for line in extracted} == clips
+    assert {uri for _, uri in lines} == clips
 
 
 SEVEN = ["standalone", "pcl", "nr", "finetune", "ewc", "si", "gem"]
@@ -576,7 +670,9 @@ def test_an_interrupted_sweep_leaves_no_child_behind(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
 def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monkeypatch, jobs):
     """A corrupt WAV fails the stream's cache, and with it every run of the
-    stream, with one error; the clip is read once, not once per run."""
+    stream, with one error; the clip is read once per process, not once per
+    run: by the sweep's process, which raises its error, and by the
+    extraction helper whose row it is, if any."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
     wav = sorted(corpus.rglob("*.wav"))[0]
@@ -590,16 +686,21 @@ def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monk
 
     def logging_read_wav(wav_path, *args, **kwargs):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{wav_path}\n")
+            fh.write(f"{os.getpid()} {wav_path}\n")
         return real_read_wav(wav_path, *args, **kwargs)
 
     monkeypatch.setattr(taskstream, "read_wav", logging_read_wav)
+    forks = record_forks(monkeypatch)
     reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path / "sweeps")), jobs)
     assert reports == []
     assert [(f["strategy"], f["seed"]) for f in failed] == [("finetune", 0), ("nr", 0)]
     assert failed[0]["error"] == failed[1]["error"]
     assert failed[0]["error"].startswith("WavFormatError: ") and str(wav) in failed[0]["error"]
-    assert log.read_text(encoding="utf-8").splitlines().count(str(wav)) == 1
+    readers = Counter(line.split(" ", 1)[0] for line in log.read_text(encoding="utf-8").splitlines()
+                      if line.split(" ", 1)[1] == str(wav))
+    assert set(readers.values()) == {1} and str(os.getpid()) in readers
+    assert set(readers) <= {str(os.getpid()), *map(str, forks)}
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("jobs, blas_threads, warned", [

@@ -92,6 +92,17 @@ def test_mfcc_matches_golden(name, make):
     np.testing.assert_allclose(got, golden, atol=1e-8)
 
 
+@pytest.mark.parametrize("make", [
+    sine_clip, noise_clip,
+    lambda: dsp.AudioClip(np.random.default_rng(7).uniform(-0.3, 0.3, 1601)),
+])
+def test_mfcc_is_bitwise_the_gather_formulation(make):
+    clip = make()
+    expected = oracles.mfcc_gather(
+        clip.samples, dsp.HANN_WINDOW, dsp.MEL_FILTERBANK, dsp.DCT_MATRIX)
+    assert np.array_equal(dsp.mfcc(clip), expected)
+
+
 def test_mfcc_matches_naive_oracle_short_clip():
     # direct oracle comparison on a short clip, independent of the stored files
     sig = np.random.default_rng(7).uniform(-0.3, 0.3, 1600)

@@ -3,8 +3,8 @@ import json
 import os
 import platform
 import re
-import sys
-import threading
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -29,7 +29,7 @@ from kwslab.strategies import FineTune, Si, Strategy, TrainContext
 from kwslab.taskstream import ClipRef, SynthConfig, TaskStream, materialize_synth
 from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprint
 
-from conftest import micro_config
+from conftest import assert_reaped, log_extractions, micro_config, record_forks
 
 
 def micro_stream(**overrides):
@@ -192,48 +192,47 @@ def test_pretrained_task0_states_are_copied_segments():
     assert len(list(states())) == 2
 
 
-def test_features_are_extracted_before_the_first_task(monkeypatch):
-    """No MFCC work lands inside a task, so epoch_seconds times training only."""
-    calls = []
-    real_mfcc, real_train_task = trainer.mfcc, trainer._train_task
+def _clip_uris(stream):
+    return Counter(ref.uri for task in stream.tasks for ref in (*task.train, *task.test))
 
-    def counting_mfcc(*args, **kwargs):
-        calls.append(1)
-        return real_mfcc(*args, **kwargs)
+
+def test_features_are_extracted_before_the_first_task(monkeypatch, tmp_path):
+    """No MFCC work lands inside a task in the run's process, so
+    epoch_seconds times training only; across the process tree each clip is
+    extracted once."""
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    real_train_task = trainer._train_task
+
+    def extracted_here():
+        return [uri for pid, uri in extracted() if pid == os.getpid()]
 
     def checked_train_task(*args, **kwargs):
-        before = len(calls)
+        before = extracted_here()
         rows = real_train_task(*args, **kwargs)
-        assert len(calls) == before
+        assert extracted_here() == before
         return rows
 
-    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
     monkeypatch.setattr(trainer, "_train_task", checked_train_task)
     cfg = micro_config(strategy="nr")
     trainer.run(cfg)
     stream = trainer.stream_for(cfg.seed, cfg.stream)
-    assert len(calls) == sum(len(t.train) + len(t.test) for t in stream.tasks)
+    assert Counter(uri for _, uri in extracted()) == _clip_uris(stream)
 
 
-def test_feature_cache_is_complete_when_built(monkeypatch):
-    """Building the cache extracts each train and test clip once; a run on
-    that cache extracts nothing more."""
-    calls = Counter()
-    real_mfcc = trainer.mfcc
-
-    def counting_mfcc(clip, *args, **kwargs):
-        calls[clip.source_id] += 1
-        return real_mfcc(clip, *args, **kwargs)
-
-    monkeypatch.setattr(trainer, "mfcc", counting_mfcc)
+def test_feature_cache_is_complete_when_built(monkeypatch, tmp_path):
+    """Building the cache and requiring its last task extracts each train
+    and test clip once, across the process tree, and reaps every helper; a
+    run on that cache extracts nothing more."""
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    forks = record_forks(monkeypatch)
     cfg = micro_config(strategy="finetune")
     cache = FeatureCache(cfg.seed, cfg.stream)
-    stream = cache.stream
-    assert calls == Counter(
-        ref.uri for task in stream.tasks for ref in (*task.train, *task.test))
-    calls.clear()
+    cache.require(len(cache.stream.tasks) - 1)
+    assert_reaped(forks)
+    assert Counter(uri for _, uri in extracted()) == _clip_uris(cache.stream)
+    before = extracted()
     trainer.run(cfg, features=cache)
-    assert not calls
+    assert extracted() == before
 
 
 def _stream_refs(stream):
@@ -275,23 +274,57 @@ def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, w
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_extraction_threads_follow_the_cpu_count_and_are_joined(monkeypatch, cpus):
-    threads = set()
-    real_mfcc = trainer.mfcc
-
-    def recording_mfcc(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real_mfcc(*args, **kwargs)
-
+def test_extraction_helpers_follow_the_cpu_count_and_are_reaped(monkeypatch, tmp_path, cpus):
+    """One helper per further CPU, each extracting some rows, and none at 1
+    CPU; every helper is reaped once the last task is in."""
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    forks = record_forks(monkeypatch)
     _set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(trainer, "mfcc", recording_mfcc)
-    before = threading.active_count()
-    micro_cache()
-    assert threading.active_count() == before
-    if cpus == 1:
-        assert threads == {threading.get_ident()}
-    else:
-        assert len(threads) > 1
+    cache = micro_cache()
+    assert len(forks) == cpus - 1
+    cache.require(len(cache.stream.tasks) - 1)
+    assert_reaped(forks)
+    assert {pid for pid, _ in extracted()} == {os.getpid(), *forks}
+
+
+def test_a_helper_that_dies_hands_its_rows_back(monkeypatch, tmp_path):
+    """A helper killed in the middle of its rows reports nothing more; this
+    process extracts the rows it left, and every row is still bit for bit
+    a one-at-a-time extraction."""
+    cfg = micro_config()
+    refs = _stream_refs(trainer.stream_for(cfg.seed, cfg.stream))
+    parent, real_mfcc = os.getpid(), trainer.mfcc
+    victim = refs[-3].uri
+
+    def dying_mfcc(clip, *args, **kwargs):
+        if os.getpid() != parent and clip.source_id == victim:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_mfcc(clip, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mfcc", dying_mfcc)
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    forks = record_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    cache = FeatureCache(cfg.seed, cfg.stream)
+    cache.require(len(cache.stream.tasks) - 1)
+    assert_reaped(forks)
+    by_parent = {uri for pid, uri in extracted() if pid == parent}
+    assert {victim, refs[-2].uri, refs[-1].uri} <= by_parent
+    monkeypatch.undo()
+    for ref in refs:
+        expected = trainer.mfcc(trainer.pad_or_trim(cache.stream.load_clip(ref))).T
+        assert np.array_equal(cache(ref), expected)
+
+
+def test_a_closed_cache_extracts_what_is_missing_itself(monkeypatch, tmp_path):
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    forks = record_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    cache = micro_cache()
+    cache.close()
+    assert_reaped(forks)
+    cache.require(len(cache.stream.tasks) - 1)
+    assert set(Counter(uri for _, uri in extracted())) == set(_clip_uris(cache.stream))
 
 
 def test_cpu_count_falls_back_without_an_affinity_mask(monkeypatch):
@@ -304,47 +337,55 @@ def test_cpu_count_falls_back_without_an_affinity_mask(monkeypatch):
 
 @pytest.mark.parametrize("cpus, first_to_fail", [(1, None), (4, 5), (4, 6)])
 def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus, first_to_fail):
-    """Rows 5 and 6 are corrupt; at 4 CPUs they fall in different stripes,
-    both loads start before either fails, and `first_to_fail` fails first
-    in time. Row 5's error is raised either way."""
-    materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=tmp_path)
-    cfg = _dir_config(str(tmp_path))
+    """Rows 5 and 6 are corrupt; at 4 CPUs they fall to different helper
+    processes, both loads start before either fails, and `first_to_fail`
+    fails first in time. Row 5's error is raised either way, by this
+    process once row 5's helper has reported it, and every helper is
+    reaped (row 6's may be killed before it fails, when row 5 fails
+    first)."""
+    corpus, marks = tmp_path / "corpus", tmp_path / "marks"
+    marks.mkdir()
+    materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=corpus)
+    cfg = _dir_config(str(corpus))
     stream = trainer.stream_for(cfg.seed, cfg.stream)
     refs = _stream_refs(stream)
     corrupt = [refs[5].uri, refs[6].uri]
     for uri in corrupt:
-        with open(os.path.join(tmp_path, uri), "wb") as fh:
-            fh.write(b"not a wav file")
-    started = {uri: threading.Event() for uri in corrupt}
-    failed = {uri: threading.Event() for uri in corrupt}
-    real_load_clip = TaskStream.load_clip
+        (corpus / uri).write_bytes(b"not a wav file")
+    parent, real_load_clip = os.getpid(), TaskStream.load_clip
+
+    def wait_for(name):
+        deadline = time.monotonic() + 10
+        while not (marks / name).exists():
+            assert time.monotonic() < deadline, f"{name} never came"
+            time.sleep(0.001)
 
     def ordered_load_clip(self, ref):
-        if first_to_fail is not None and ref.uri in corrupt:
-            other = corrupt[1 - corrupt.index(ref.uri)]
-            started[ref.uri].set()
-            assert started[other].wait(10)
-            if ref.uri != refs[first_to_fail].uri:
-                assert failed[other].wait(10)
-            try:
-                return real_load_clip(self, ref)
-            finally:
-                failed[ref.uri].set()
-        return real_load_clip(self, ref)
+        if first_to_fail is None or ref.uri not in corrupt or os.getpid() == parent:
+            return real_load_clip(self, ref)
+        row = refs.index(ref)
+        other = 11 - row  # 5 <-> 6
+        (marks / f"started{row}").touch()
+        wait_for(f"started{other}")
+        if row != first_to_fail:
+            wait_for(f"failed{other}")
+        try:
+            return real_load_clip(self, ref)
+        finally:
+            with open(marks / "order", "a", encoding="utf-8") as fh:
+                fh.write(f"{row}\n")
+            (marks / f"failed{row}").touch()
 
+    forks = record_forks(monkeypatch)
     _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(TaskStream, "load_clip", ordered_load_clip)
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with pytest.raises(WavFormatError, match=re.escape(refs[5].uri)):
-            FeatureCache(cfg.seed, cfg.stream)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
+    with pytest.raises(WavFormatError, match=re.escape(refs[5].uri)):
+        FeatureCache(cfg.seed, cfg.stream)
+    assert len(forks) == cpus - 1
+    assert_reaped(forks)
     if first_to_fail is not None:
-        assert all(event.is_set() for event in failed.values())
+        order = (marks / "order").read_text(encoding="utf-8").split()
+        assert order[0] == str(first_to_fail) and "5" in order
 
 
 def test_an_empty_split_is_a_corpus_error_before_any_clip_is_read(monkeypatch, tmp_path):
