@@ -2,20 +2,23 @@
 
 Exit code 0 on success; 2 on any expected failure, with a typed one-line
 message on stderr. The default output root comes from KWSLAB_OUT (falling
-back to ./runs).
+back to ./runs). A sweep at `--jobs N` forks its runs through `procs`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
+import pickle
 import sys
 import time
 import traceback
 from dataclasses import replace
 
+from . import procs
 from .config import RunConfig, config_from_mapping, load_config, normalize_strategy
 from .errors import ConfigError, KwslabError
 from .fileio import replace_on_success
@@ -67,9 +70,9 @@ def _error_text(exc: Exception) -> str:
 
 def _sweep_worker(cfg: RunConfig, features: FeatureCache) -> tuple[RunReport | str, float]:
     """Run one sweep config on its stream's cache, in the sweep's process or
-    in a forked child. A failed run returns its error as text, which pickles
-    whatever the error holds. Any `Exception` fails only its own run; Ctrl-C
-    still stops the sweep."""
+    in a forked child, which pickles this result into its pipe. A failed
+    run returns its error as text, which pickles whatever the error holds.
+    Any `Exception` fails only its own run; Ctrl-C still stops the sweep."""
     t0 = time.perf_counter()
     try:
         result = run_training(cfg, features=features)
@@ -78,90 +81,34 @@ def _sweep_worker(cfg: RunConfig, features: FeatureCache) -> tuple[RunReport | s
     return result, time.perf_counter() - t0
 
 
-def _send_result(cfg: RunConfig, features: FeatureCache, writer) -> None:
-    with writer:
-        writer.send(_sweep_worker(cfg, features))
+def _send_result(cfg: RunConfig, features: FeatureCache, fd: int) -> None:
+    view = memoryview(pickle.dumps(_sweep_worker(cfg, features)))
+    while view:
+        view = view[os.write(fd, view):]
 
 
-class _ForkTree:
-    """At most `jobs` forked children, each running one sweep config on the
-    feature cache it inherits copy-on-write and sending `_sweep_worker`'s
-    result back through a pipe; `done(index, result)` gets each result.
-    Forking is safe here because the sweep has required its cache's last
-    task first, so every row is in and the cache's extraction helpers have
-    been reaped; the process runs no thread of its own, and OpenBLAS stops
-    its threads at a fork."""
-
-    def __init__(self, fork_context, jobs: int, done):
-        self._context, self._jobs, self._done = fork_context, jobs, done
-        self._live = {}  # pipe reader -> (config index, child, start time, warm-up seconds)
-
-    def start(self, index: int, cfg: RunConfig, features: FeatureCache) -> None:
-        """Once fewer than `jobs` children are alive, get or train `cfg`'s
-        task 0 in the cache, so that the child only restores it, and fork
-        the child. A warm-up that raises, or a fork that fails, fails the
-        config here."""
-        while len(self._live) >= self._jobs:
-            self._reap()
-        t0 = time.perf_counter()
-        try:
-            features.pretraining(cfg)
-        except Exception as exc:
-            self._done(index, (_error_text(exc), time.perf_counter() - t0))
-            return
-        reader, writer = self._context.Pipe(duplex=False)
-        child = self._context.Process(target=_send_result, args=(cfg, features, writer))
-        try:
-            child.start()
-        except OSError as exc:  # fork refused: EAGAIN or ENOMEM
-            reader.close()
-            self._done(index, (_error_text(exc), time.perf_counter() - t0))
-            return
-        finally:
-            writer.close()  # the child holds the only writer, so its end is EOF
-        self._live[reader] = (index, child, t0, time.perf_counter() - t0)
-
-    def _reap(self) -> None:
-        """Read every pipe that is ready, then join its child. A report can
-        be larger than a pipe buffer, so the pipe is read before the join."""
-        import signal
-        from multiprocessing.connection import wait
-
-        for reader in wait(list(self._live)):
-            index, child, t0, warm_up = self._live.pop(reader)
-            with reader:
-                try:
-                    result, seconds = reader.recv()
-                    seconds += warm_up
-                except EOFError:  # the child ended without a result
-                    result, seconds = None, time.perf_counter() - t0
-            child.join()
-            if result is None:
-                code = child.exitcode
-                try:
-                    why = (f"killed by {signal.Signals(-code).name}" if code < 0
-                           else f"exit code {code}")
-                except ValueError:  # Python names only the first and last real-time signal
-                    why = f"killed by signal {-code}"
-                result = f"ChildProcessError: the run's process ended ({why}) without a result"
-            self._done(index, (result, seconds))
-
-    def join(self) -> None:
-        while self._live:
-            self._reap()
-
-    def stop(self) -> None:
-        """Terminate and join every live child."""
-        for reader, (_, child, _, _) in self._live.items():
-            child.terminate()
-            child.join()
-            reader.close()
+def _reap(children: procs.Workers, done) -> None:
+    """Read every ready child's pipe to EOF, then reap the child and pass
+    its result to `done`. A report can be larger than a pipe buffer, so the
+    pipe is read before the reap. Only a child that exits 0 has written its
+    whole result."""
+    for fd in children.ready():
+        data = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+        (index, t0, warm_up), code = children.end(fd)
+        if code == 0:
+            result, seconds = pickle.loads(data)
+            seconds += warm_up
+        else:
+            result = (f"ChildProcessError: the run's process ended ({procs.ended(code)}) "
+                      "without a result")
+            seconds = time.perf_counter() - t0
+        done(index, (result, seconds))
 
 
 def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
     """A comparison needs every run of a seed to name one stream section;
     say so, and build each seed's stream once (a missing or too small
-    corpus fails here), before any run trains rather than after all."""
+    corpus, or a corrupt WAV, fails here), before any run trains."""
     stream_of_seed = {}
     for cfg in cfgs:
         if stream_of_seed.setdefault(cfg.seed, cfg.stream) != cfg.stream:
@@ -180,8 +127,13 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
     `FeatureCache` is built here once, complete before its first run, and
     dropped before the next one is built; a cache that cannot be built
     fails every run of its stream. At `jobs` 1, or where processes cannot
-    fork, every run runs in this process; otherwise each runs in a forked
-    child, at most `jobs` at once.
+    fork, every run runs in this process. Otherwise each runs in a child
+    forked through `procs`, at most `jobs` at once, on the cache it
+    inherits copy-on-write, and pickles `_sweep_worker`'s result into its
+    pipe. Before each fork this process gets or trains the config's task 0
+    in the cache, so that the child only restores it; a warm-up that
+    raises, or a fork refused, fails the config here. The cache is
+    complete by then, so every extraction helper has been reaped.
     Prints one progress line per run, in config order, and returns the
     finished runs' reports and an entry per failed run."""
     reports, failed, results = [], [], {}
@@ -198,12 +150,8 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
                 print(f"{head} ACC={result.acc:.4f} wall={seconds:.1f}s", flush=True)
                 reports.append(result)
 
-    tree = None
-    if jobs > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            tree = _ForkTree(multiprocessing.get_context("fork"), jobs, done)
+    forking = jobs > 1 and procs.CAN_FORK
+    children = procs.Workers()  # each tagged (config index, start time, warm-up seconds)
     try:
         streams = itertools.groupby(enumerate(cfgs), lambda item: (item[1].seed, item[1].stream))
         for (seed, stream_cfg), stream in streams:
@@ -218,16 +166,23 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
                     done(index, error)
                 continue
             for index, cfg in stream:
-                if tree is None:
+                if not forking:
                     done(index, _sweep_worker(cfg, features))
-                else:
-                    tree.start(index, cfg, features)
+                    continue
+                while len(children) >= jobs:
+                    _reap(children, done)
+                t0 = time.perf_counter()
+                try:
+                    features.pretraining(cfg)
+                    children.start(functools.partial(_send_result, cfg, features),
+                                   (index, t0, time.perf_counter() - t0))
+                except Exception as exc:  # a refused fork is an OSError (EAGAIN or ENOMEM)
+                    done(index, (_error_text(exc), time.perf_counter() - t0))
             del features  # before the next stream's cache is built
-        if tree is not None:
-            tree.join()
+        while children:
+            _reap(children, done)
     finally:
-        if tree is not None:
-            tree.stop()
+        children.close()
     return reports, failed
 
 

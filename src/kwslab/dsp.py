@@ -14,6 +14,7 @@ row of FEATURE_SHAPE, the layout of every feature block and model input.
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass
 
@@ -149,33 +150,44 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     return coeffs
 
 
+def check_wav(fh, path) -> int:
+    """Every check on the header and size of the WAV file `fh` at `path`:
+    RIFF PCM, 16-bit signed little-endian, mono, SAMPLE_RATE, and a data
+    chunk of at least one sample that the file holds whole. Reads only the
+    header and leaves `fh` at the data; returns the sample count."""
+    try:
+        wf = wave.open(fh, "rb")
+    except (wave.Error, EOFError) as exc:  # EOFError: a header cut short
+        raise WavFormatError(f"{path}: not a valid RIFF WAV file ({exc or 'truncated'})") from exc
+    if wf.getcomptype() != "NONE":
+        raise WavFormatError(f"{path}: compressed WAV ({wf.getcomptype()})")
+    if wf.getnchannels() != 1:
+        raise WavFormatError(f"{path}: expected mono, got {wf.getnchannels()} channels")
+    if wf.getsampwidth() != 2:
+        raise WavFormatError(
+            f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit"
+        )
+    if wf.getframerate() != SAMPLE_RATE:
+        raise WavFormatError(
+            f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz"
+        )
+    n = wf.getnframes()
+    held = os.fstat(fh.fileno()).st_size - fh.tell()  # wave.open stops at the data
+    if 2 * n > held:
+        raise WavFormatError(f"{path}: data chunk of {2 * n} bytes is cut short to {held}")
+    if n == 0:
+        raise EmptyDataError(f"{path}: WAV file holds no samples")
+    return n
+
+
 def read_wav(path, source_id: str = "") -> AudioClip:
     """Read a RIFF PCM WAV file: 16-bit signed little-endian, mono, 16 kHz.
 
     Anything else, a file cut short included, is rejected with WavFormatError.
     """
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getcomptype() != "NONE":
-                raise WavFormatError(f"{path}: compressed WAV ({wf.getcomptype()})")
-            if wf.getnchannels() != 1:
-                raise WavFormatError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-            if wf.getsampwidth() != 2:
-                raise WavFormatError(
-                    f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit"
-                )
-            if wf.getframerate() != SAMPLE_RATE:
-                raise WavFormatError(
-                    f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz"
-                )
-            raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as exc:  # EOFError: a header cut short
-        raise WavFormatError(f"{path}: not a valid RIFF WAV file ({exc or 'truncated'})") from exc
-    if len(raw) % 2:
-        raise WavFormatError(f"{path}: data chunk ends mid-sample ({len(raw)} bytes)")
+    with open(str(path), "rb") as fh:
+        raw = fh.read(2 * check_wav(fh, path))
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if samples.size == 0:
-        raise EmptyDataError(f"{path}: WAV file holds no samples")
     return AudioClip(samples, source_id or str(path))
 
 

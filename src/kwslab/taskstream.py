@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import CLIP_SAMPLES, SAMPLE_RATE, AudioClip, hz_to_mel, mel_to_hz, read_wav, write_wav
+from .dsp import (CLIP_SAMPLES, SAMPLE_RATE, AudioClip, check_wav, hz_to_mel, mel_to_hz,
+                  read_wav, write_wav)
 from .errors import CorpusError, UnknownTaskError
 from .fileio import replace_on_success
 from .seeding import derive_seed, rng_for
@@ -310,7 +311,9 @@ def build_stream(
 
 
 def split_corpus_dir(corpus_dir, seed: int, layout: StreamLayout = StreamLayout()) -> TaskStream:
-    """Stream over `<corpus_dir>/<keyword>/<clip>.wav` folders."""
+    """Stream over `<corpus_dir>/<keyword>/<clip>.wav` folders. Its clips
+    are checked (`dsp.check_wav`) in stream order, so the first bad one
+    raises the error `read_wav` would raise for it before any is read."""
     corpus_dir = os.fspath(corpus_dir)
     if not os.path.isdir(corpus_dir):
         raise CorpusError(f"{corpus_dir}: not a directory")
@@ -326,7 +329,12 @@ def split_corpus_dir(corpus_dir, seed: int, layout: StreamLayout = StreamLayout(
         ]
         if clips:
             refs[kw] = clips
-    return build_stream(refs, seed, layout, kind="dir", root=corpus_dir)
+    stream = build_stream(refs, seed, layout, kind="dir", root=corpus_dir)
+    for uri in dict.fromkeys(ref.uri for task in stream.tasks for ref in (*task.train, *task.test)):
+        path = os.path.join(corpus_dir, uri)
+        with open(path, "rb") as fh:
+            check_wav(fh, path)
+    return stream
 
 
 def synth_stream(

@@ -16,11 +16,11 @@ rows each task hands back, and the footprint fields from the strategy's
 `accounting()`. A non-finite loss saves the parameters being trained as
 `diagnostic_task<t>.ckpt`, then raises `NanLossError`. A seed and a stream
 section name a stream: the `FeatureCache` built from the pair builds it,
-once, and extracts its clips' features in forked helper processes, one per
-further usable CPU. Before each task the run waits at the cache's barrier,
-`require(t)`, until every clip of tasks 0..t is in, so a lone run trains
-task 0 while the helpers extract the later tasks, and `epoch_seconds`
-covers training only. The cache also holds one task-0 state per
+once, and extracts its clips' features in helper processes forked through
+`procs`, one per further usable CPU. Before each task the run waits at the
+cache's barrier, `require(t)`, until every clip of tasks 0..t is in, so a
+lone run trains task 0 while the helpers extract the later tasks, and
+`epoch_seconds` covers training only. The cache also holds one task-0 state per
 pretraining class (`Strategy.pretrained_by`): an Si's for the global-head
 strategies and a Pcl's for pcl and standalone. `FeatureCache.pretraining`
 trains a class's state on its first call and keeps its task-0 handle's
@@ -36,22 +36,20 @@ last bits of the numbers.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import math
 import mmap
 import os
 import platform
-import select
-import signal
-import struct
 import time
-import weakref
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
+from . import procs
 from .autodiff import Segment, Sgd, Tensor
 from .config import RunConfig, StreamConfig, config_hash, config_to_flat
 from .dsp import FEATURE_SHAPE, mfcc, pad_or_trim
@@ -108,32 +106,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# one report on a helper's pipe: a finished row's index, or -1 - row for a
-# row whose extraction raised (the helper stops there). A write this short
-# is atomic on a pipe, and every read takes a multiple of its size, so no
-# read splits a report.
-_REPORT = struct.Struct("<i")
-
-
-def _end_helper(helpers: dict, fd: int, kill: bool) -> list[int]:
-    """End the helper that reports on pipe `fd`: kill it if asked, reap it
-    and close the pipe. Returns the rows it was given."""
-    pid, rows = helpers.pop(fd)
-    if kill:
-        os.kill(pid, signal.SIGKILL)  # an unreaped child is still there to kill
-    os.waitpid(pid, 0)
-    os.close(fd)
-    return rows
-
-
-def _kill_helpers(helpers: dict, owner: int) -> None:
-    """A dropped cache's finalizer. A forked copy of the cache does not own
-    the helpers, so it leaves them alone."""
-    if os.getpid() == owner:
-        for fd in list(helpers):
-            _end_helper(helpers, fd, kill=True)
-
-
 class FeatureCache:
     """The stream that `(seed, stream_cfg)` names, built and fingerprinted
     once, and the MFCC features of its train and test clips by clip URI.
@@ -143,27 +115,24 @@ class FeatureCache:
     shape [n_clips, *dsp.FEATURE_SHAPE], in stream order, so rows
     [0, end of task t) hold every clip of tasks 0..t. The block is one
     shared anonymous mmap. One helper process per further usable CPU is
-    forked (`os.fork`, no `multiprocessing`); each writes its rows into the
-    block in stream order and reports each finished row on a pipe of its
-    own. Task 0's rows are striped over this process and the helpers, and
-    the later rows over the helpers alone. The constructor returns once
-    task 0's rows are in, so a lone run trains task 0 while the helpers
-    extract the later tasks. `mfcc` is a pure function of its clip, so every
-    row is bit for bit what a one-at-a-time extraction gives, whatever the
-    CPU count. With one usable CPU, or without `os.fork`, there are no
-    helpers, and this process extracts each task's rows at its barrier.
+    forked through `procs`; each writes its rows into the block in stream
+    order and reports each finished row on its pipe. Task 0's rows are
+    striped over this process and the helpers, and the later rows over the
+    helpers alone. The constructor returns once task 0's rows are in, so a
+    lone run trains task 0 while the helpers extract the later tasks.
+    `mfcc` is a pure function of its clip, so every row is bit for bit what
+    a one-at-a-time extraction gives, whatever the CPU count. With one
+    usable CPU, or where processes cannot fork, there are no helpers, and
+    this process extracts each task's rows at its barrier.
 
     `require(t)` is the barrier: it returns once tasks 0..t are in, and
-    `__call__` waits the same way for a row that is not in yet. If clips
-    fail, the first failing one in stream order raises its own error: at
-    the first barrier after a helper reports it, and never later than the
-    barrier of its task. This process raises it by extracting that row
-    itself, so the error and its traceback are the real ones. A helper that
-    ends without reporting all its rows hands them back to this process.
-    The helpers end once every row is in; `close()` kills and reaps any
-    still alive, and a barrier that raises closes the cache first. A
-    closed cache still serves every clip: its missing rows are extracted
-    here.
+    `__call__` waits the same way for a row that is not in yet. A helper
+    that ends without reporting all its rows, killed or raising (a WAV
+    stream's files were checked when it was built), hands them back to
+    this process, which extracts them itself. The helpers end once every
+    row is in; `close()` kills and reaps any still alive, and a barrier that
+    raises closes the cache first. A closed cache still serves every clip:
+    its missing rows are extracted here.
 
     Every run path asks for its task's rows before the task: a lone `run`
     at each task, and a sweep for the last task before its first run, so
@@ -198,9 +167,7 @@ class FeatureCache:
         self._done = np.zeros(n, dtype=bool)
         self._mine = np.ones(n, dtype=bool)  # rows this process extracts
         self._ready = 0  # rows [0, ready) are done
-        self._failed: dict[int, Exception | None] = {}  # None: a helper reported it
-        self._helpers: dict[int, tuple[int, list[int]]] = {}  # pipe fd -> (pid, rows)
-        weakref.finalize(self, _kill_helpers, self._helpers, os.getpid())
+        self._helpers = procs.Workers()  # each tagged with the rows it was given
         try:
             self._start_helpers(_usable_cpus() - 1)
             self.require(0)
@@ -208,50 +175,32 @@ class FeatureCache:
             self.close()
             raise
 
-    def _extract(self, ref: ClipRef) -> np.ndarray:
-        return mfcc(pad_or_trim(self.stream.load_clip(ref))).T
+    def _extract(self, i: int) -> None:
+        self._writable[i] = mfcc(pad_or_trim(self.stream.load_clip(self._refs[i]))).T
 
     def _start_helpers(self, count: int) -> None:
         """Fork up to `count` helpers. Task 0's rows go round-robin to this
         process and the helpers, the later rows round-robin to the helpers.
         A helper that cannot be forked leaves its rows to this process."""
         n0, n = self._task_end[0], len(self._refs)
-        count = min(count, n - n0) if hasattr(os, "fork") else 0
+        count = min(count, n - n0) if procs.CAN_FORK else 0
         for h in range(1, count + 1):
             rows = [*range(h, n0, count + 1), *range(n0 + h - 1, n, count)]
-            reader, writer = os.pipe()
             try:
-                pid = os.fork()
-            except OSError:  # EAGAIN or ENOMEM
-                os.close(reader)
-                os.close(writer)
+                self._helpers.start(functools.partial(self._helper, rows), rows)
+            except OSError:  # fork refused: EAGAIN or ENOMEM
                 continue
-            if pid == 0:
-                self._helper(rows, reader, writer)
-            os.close(writer)
             self._mine[rows] = False
-            self._helpers[reader] = (pid, rows)
 
-    def _helper(self, rows: list[int], reader: int, fd: int) -> None:
-        """A forked helper's whole life: extract `rows` in order into the
-        block, report each on `fd`, and stop at the first row that raises.
-        It holds no pipe's read end, so its writes fail once the parent is
-        gone. It leaves through `os._exit`, so no handler of the parent's
-        runs."""
-        code = 1
-        try:
-            for other in (reader, *self._helpers):
-                os.close(other)
-            for i in rows:
-                try:
-                    self._writable[i] = self._extract(self._refs[i])
-                except Exception:
-                    os.write(fd, _REPORT.pack(-1 - i))
-                    break
-                os.write(fd, _REPORT.pack(i))
-            code = 0
-        finally:
-            os._exit(code)
+    def _helper(self, rows: list[int], fd: int) -> None:
+        """A forked helper's body: extract `rows` in order into the block and
+        report each on `fd` as a 4-byte index. A write this short is atomic
+        on a pipe, and every read takes a multiple of its size, so no read
+        splits a report. The helper holds no pipe's read end, so its writes
+        fail once the parent is gone."""
+        for i in rows:
+            self._extract(i)
+            os.write(fd, np.int32(i).tobytes())
 
     def _read_helpers(self, timeout: float | None) -> None:
         """Read every report the helpers have written, waiting up to
@@ -259,37 +208,12 @@ class FeatureCache:
         that has ended is reaped, and its unreported rows come back here.
         A helper can run ahead of its last read by a pipe buffer of
         reports (16384 rows on Linux) before its writes block."""
-        poller = select.poll()
-        for fd in self._helpers:
-            poller.register(fd, select.POLLIN)
-        for fd, _ in poller.poll(None if timeout is None else 1000 * timeout):
+        for fd in self._helpers.ready(timeout):
             data = os.read(fd, 1 << 16)
             if not data:
-                self._mine[_end_helper(self._helpers, fd, kill=False)] = True
-                continue
-            for (i,) in _REPORT.iter_unpack(data):
-                if i >= 0:
-                    self._done[i] = True
-                else:
-                    self._failed.setdefault(-1 - i, None)
-
-    def _extract_here(self, i: int) -> None:
-        try:
-            self._writable[i] = self._extract(self._refs[i])
-        except Exception as exc:
-            self._failed[i] = exc
-        else:
-            self._done[i] = True
-
-    def _raise_failed(self, i: int) -> None:
-        """Raise row i's error: the one held, or a helper's, by extracting
-        the row here. Extraction is deterministic, so the latter raises."""
-        error = self._failed[i]
-        if error is not None:
-            raise error
-        self._writable[i] = self._extract(self._refs[i])
-        del self._failed[i]
-        self._done[i] = True
+                rows, _ = self._helpers.end(fd)
+                self._mine[rows] = True
+            self._done[np.frombuffer(data, dtype=np.int32)] = True
 
     def require(self, task_id: int) -> None:
         """Return once every clip of tasks 0..`task_id` is in the block."""
@@ -297,26 +221,21 @@ class FeatureCache:
 
     def _wait_for(self, end: int) -> None:
         """Return once rows [0, end) are in, extracting this process's rows
-        among them and reading the helpers' reports. A failure reported by
-        then is raised at once, after every earlier row is in."""
+        among them and reading the helpers' reports."""
         try:
-            if self._helpers:
-                self._read_helpers(0)
+            self._read_helpers(0)
             while True:
-                first_failed = min(self._failed, default=None)
-                target = end if first_failed is None else first_failed
-                while self._ready < target and self._done[self._ready]:
+                while self._ready < end and self._done[self._ready]:
                     self._ready += 1
-                if self._ready < target:
-                    todo = self._mine[self._ready:target] & ~self._done[self._ready:target]
-                    if todo.any():
-                        self._extract_here(self._ready + int(np.argmax(todo)))
-                    else:
-                        self._read_helpers(None)
-                elif first_failed is not None:
-                    self._raise_failed(first_failed)
-                else:
+                if self._ready >= end:
                     break
+                todo = self._mine[self._ready:end] & ~self._done[self._ready:end]
+                if todo.any():
+                    i = self._ready + int(np.argmax(todo))
+                    self._extract(i)
+                    self._done[i] = True
+                else:
+                    self._read_helpers(None)
         except BaseException:
             self.close()
             raise
@@ -326,8 +245,8 @@ class FeatureCache:
     def close(self) -> None:
         """Kill and reap every helper still alive. The rows they had not
         reported are extracted here if they are asked for."""
-        for fd in list(self._helpers):
-            self._mine[_end_helper(self._helpers, fd, kill=True)] = True
+        for rows in self._helpers.close():
+            self._mine[rows] = True
 
     def pretraining(self, cfg: RunConfig) -> tuple[list[Segment], list[dict], list[float]]:
         """The task-0 state that a run of `cfg` adopts, by its strategy's

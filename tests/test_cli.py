@@ -1,7 +1,6 @@
 import dataclasses
 import errno
 import json
-import multiprocessing
 import os
 import pathlib
 import signal
@@ -13,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from kwslab import cli, taskstream, trainer
+from kwslab import cli, procs, taskstream, trainer
 from kwslab.cli import _run_sweep, _sweep_configs, main
 from kwslab.errors import ConfigError, NanLossError
 from kwslab.metrics import compare_by_seed, load_report, reports_equivalent
@@ -131,20 +130,13 @@ def test_run_over_a_truncated_wav_exits_2_with_a_wav_format_error(tmp_path, caps
     assert err.count("\n") == 1
 
 
-def corrupt_last_task(monkeypatch):
-    """Corrupt the first training clip of a `dir` stream's last task, once
-    the stream has been split; returns the clips corrupted."""
-    real_split, corrupted = taskstream.split_corpus_dir, []
-
-    def split(corpus_dir, *args, **kwargs):
-        stream = real_split(corpus_dir, *args, **kwargs)
-        wav = pathlib.Path(corpus_dir) / stream.tasks[-1].train[0].uri
-        wav.write_bytes(wav.read_bytes()[:-1])  # the data chunk ends mid-sample
-        corrupted.append(wav)
-        return stream
-
-    monkeypatch.setattr(trainer, "split_corpus_dir", split)
-    return corrupted
+def corrupt_last_task(corpus):
+    """Cut the first training clip of the micro `dir` stream's last task
+    in the middle of a sample; returns its path."""
+    stream = taskstream.split_corpus_dir(corpus, 0, micro_config().stream.layout)
+    wav = corpus / stream.tasks[-1].train[0].uri
+    wav.write_bytes(wav.read_bytes()[:-1])
+    return wav
 
 
 def interrupt_task0(monkeypatch):
@@ -172,17 +164,19 @@ def nan_in_task1(monkeypatch):
 @pytest.mark.parametrize("ending", ["finished", "nan", "interrupt", "corrupt"])
 def test_no_extraction_helper_outlives_a_run(tmp_path, capsys, monkeypatch, ending):
     """`kwslab run` on a WAV corpus on 2 CPUs, one helper, whether the run
-    finishes, aborts on a NaN, is interrupted in task 0 or meets a corrupt
-    WAV in its last task: the helper is reaped before `main` returns or
-    raises. The corrupt WAV is a one-line error naming the clip, exit 2,
-    and no report."""
+    finishes, aborts on a NaN or is interrupted in task 0: the helper is
+    reaped before `main` returns or raises. A corrupt WAV in the last task
+    is a one-line error naming the clip, exit 2 and no report, before any
+    fork and before any training."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
     cfg_path = write_micro_config(
         tmp_path / "dir.cfg", **{"stream.source": "dir", "stream.corpus_dir": corpus})
     argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    corrupted = corrupt_last_task(monkeypatch) if ending == "corrupt" else []
+    if ending == "corrupt":
+        corrupted = corrupt_last_task(corpus)
+        monkeypatch.setattr(trainer, "_train_task", lambda *args: pytest.fail("trained"))
     if ending == "nan":
         nan_in_task1(monkeypatch)
     if ending == "interrupt":
@@ -196,13 +190,13 @@ def test_no_extraction_helper_outlives_a_run(tmp_path, capsys, monkeypatch, endi
             main(argv)
     else:
         assert main(argv) == 2
-    assert len(forks) == 1
+    assert len(forks) == (ending != "corrupt")
     assert_reaped(forks)
     report = tmp_path / "out" / "finetune_seed0" / "report.json"
     assert report.exists() == (ending == "finished")
     if ending == "corrupt":
         err = capsys.readouterr().err
-        assert err.startswith("error: WavFormatError: ") and str(corrupted[0]) in err
+        assert err.startswith("error: WavFormatError: ") and str(corrupted) in err
         assert err.count("\n") == 1
 
 
@@ -333,7 +327,7 @@ def test_a_sweep_builds_its_stream_twice_and_fingerprints_it_once(tmp_path, caps
     assert calls == {"synth_stream": 2, "stream_fingerprint": 1}
 
 
-FORK_ONLY = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+FORK_ONLY = pytest.mark.skipif(not procs.CAN_FORK,
                                reason="a sweep forks its runs only where processes can fork")
 
 
@@ -606,14 +600,18 @@ def kill_gem_with(signum):
 
 def refuse_gem_fork(monkeypatch):
     """Make the fork of gem's child fail as fork does when out of processes."""
-    real_start = multiprocessing.process.BaseProcess.start
+    real_start = procs.Workers.start
 
-    def start(process):
-        if process._args[0].strategy == "gem":
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real_start(process)
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    def start(workers, body, tag):
+        with monkeypatch.context() as patch:
+            if body.func is cli._send_result and body.args[0].strategy == "gem":
+                patch.setattr(os, "fork", refuse)
+            return real_start(workers, body, tag)
+
+    monkeypatch.setattr(procs.Workers, "start", start)
 
 
 @FORK_ONLY
@@ -634,6 +632,7 @@ def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, caps
     root = tmp_path / "sweeps"
     path = write_sweep(tmp_path, ["finetune", "gem", "nr"])
     setup(monkeypatch)
+    forks = record_forks(monkeypatch)
     assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: KwslabError: 1 of 3 runs failed; comparison.json lists them under 'failed'\n"
@@ -642,13 +641,13 @@ def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, caps
     assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
     assert [(f["strategy"], f["seed"]) for f in doc["failed"]] == [("gem", 0)]
     assert error in doc["failed"][0]["error"]
-    assert multiprocessing.active_children() == []
+    assert_reaped(forks)
 
 
 @FORK_ONLY
 def test_an_interrupted_sweep_leaves_no_child_behind(tmp_path, monkeypatch):
     """Ctrl-C in the sweep's process while a run's child is busy: the
-    interrupt reaches the caller, and the child is terminated and joined."""
+    interrupt reaches the caller, and the child is killed and reaped."""
     real_cache = cli.FeatureCache
 
     def cache(seed, stream_cfg):
@@ -662,17 +661,18 @@ def test_an_interrupted_sweep_leaves_no_child_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "FeatureCache", cache)
     monkeypatch.setattr(cli, "run_training", run)
     manifest = {"base": dict(MICRO_FLAT), "strategies": ["finetune"], "seeds": [0, 1]}
+    forks = record_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         _run_sweep(_sweep_configs(manifest, str(tmp_path)), jobs=2)
-    assert multiprocessing.active_children() == []
+    assert forks
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
 def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monkeypatch, jobs):
     """A corrupt WAV fails the stream's cache, and with it every run of the
-    stream, with one error; the clip is read once per process, not once per
-    run: by the sweep's process, which raises its error, and by the
-    extraction helper whose row it is, if any."""
+    stream, with one error. The sweep's process checks the clip once, when
+    it builds the stream; no process reads it, and none is forked."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
     wav = sorted(corpus.rglob("*.wav"))[0]
@@ -682,25 +682,68 @@ def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monk
         "strategies": ["finetune", "nr"],
     }
     log = tmp_path / "read.log"
-    real_read_wav = taskstream.read_wav
-
-    def logging_read_wav(wav_path, *args, **kwargs):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {wav_path}\n")
-        return real_read_wav(wav_path, *args, **kwargs)
-
-    monkeypatch.setattr(taskstream, "read_wav", logging_read_wav)
+    for name in ("check_wav", "read_wav"):
+        def logging(*args, _name=name, _real=getattr(taskstream, name), **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{_name} {os.getpid()} {args[-1]}\n")
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(taskstream, name, logging)
     forks = record_forks(monkeypatch)
     reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path / "sweeps")), jobs)
     assert reports == []
     assert [(f["strategy"], f["seed"]) for f in failed] == [("finetune", 0), ("nr", 0)]
     assert failed[0]["error"] == failed[1]["error"]
     assert failed[0]["error"].startswith("WavFormatError: ") and str(wav) in failed[0]["error"]
-    readers = Counter(line.split(" ", 1)[0] for line in log.read_text(encoding="utf-8").splitlines()
-                      if line.split(" ", 1)[1] == str(wav))
-    assert set(readers.values()) == {1} and str(os.getpid()) in readers
-    assert set(readers) <= {str(os.getpid()), *map(str, forks)}
-    assert_reaped(forks)
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.endswith(f" {wav}")] == [f"check_wav {os.getpid()} {wav}"]
+    assert forks == []
+
+
+@pytest.mark.parametrize("fault, error", [("missing", "CorpusError"), ("corrupt", "WavFormatError")])
+def test_a_sweep_over_a_bad_corpus_exits_2_before_its_first_run(tmp_path, capsys, monkeypatch,
+                                                                 fault, error):
+    """A missing corpus, or a corrupt WAV in any task, fails the whole
+    sweep with one line before any process forks or any run trains."""
+    corpus = tmp_path / "corpus"
+    if fault == "corrupt":
+        assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
+        corrupt_last_task(corpus)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "base": {**MICRO_FLAT, "stream.source": "dir", "stream.corpus_dir": str(corpus)},
+        "strategies": ["finetune", "nr"],
+    }))
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
+    forks = record_forks(monkeypatch)
+    root = tmp_path / "sweeps"
+    capsys.readouterr()
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and str(corpus) in err
+    assert err.count("\n") == 1
+    assert trained == [] and forks == []
+    assert not root.exists()
+
+
+@FORK_ONLY
+def test_a_line_buffered_before_a_sweep_forks_is_written_once(tmp_path):
+    """A line the sweep's process has written to stdout but not flushed
+    when it forks its helpers and runs is written once, by that process:
+    no child writes its inherited copy again."""
+    path = write_sweep(tmp_path, ["finetune", "nr"])
+    argv = ["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps"), "--jobs", "2"]
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, kwslab.cli; print('before the forks'); sys.exit(kwslab.cli.main({argv!r}))"],
+        capture_output=True, text=True, timeout=600,
+        env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("before the forks") == 1
+    assert proc.stdout.startswith("before the forks\n")
 
 
 @pytest.mark.parametrize("jobs, blas_threads, warned", [
@@ -924,15 +967,3 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "29615" in proc.stdout
-
-
-def test_importing_the_cli_leaves_out_multiprocessing():
-    """Only a `--jobs` > 1 sweep imports multiprocessing."""
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, kwslab.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"

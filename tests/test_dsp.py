@@ -207,12 +207,35 @@ def test_read_wav_rejects_wrong_formats(tmp_path):
     with pytest.raises(WavFormatError):
         dsp.read_wav(not_wav)
 
-    # a file cut inside its header, and one cut in the middle of a sample
+    # a file cut inside its header, one cut in the middle of a sample, and
+    # one cut by a whole sample
     whole = tmp_path / "whole.wav"
     _raw_wav(whole)
     data = whole.read_bytes()
-    for name, cut in (("header.wav", 30), ("sample.wav", len(data) - 1)):
+    for name, cut in (("header.wav", 30), ("sample.wav", len(data) - 1),
+                      ("short.wav", len(data) - 2)):
         truncated = tmp_path / name
         truncated.write_bytes(data[:cut])
         with pytest.raises(WavFormatError, match=name):
             dsp.read_wav(truncated)
+
+    empty = tmp_path / "empty.wav"
+    with wave.open(str(empty), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+    with pytest.raises(EmptyDataError):
+        dsp.read_wav(empty)
+
+    # the stream-build check raises what a read raises, type and text alike
+    def check(path):
+        with open(path, "rb") as fh:
+            return dsp.check_wav(fh, path)
+
+    assert check(whole) == 100
+    for path in sorted(set(tmp_path.glob("*.wav")) - {whole}):
+        with pytest.raises((WavFormatError, EmptyDataError)) as read:
+            dsp.read_wav(path)
+        with pytest.raises(read.type) as checked:
+            check(path)
+        assert str(checked.value) == str(read.value)

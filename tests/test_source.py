@@ -117,6 +117,50 @@ def test_files_are_written_only_through_fileio(path):
     assert write_opens(path.read_text(encoding="utf-8")) == []
 
 
+THREAD_MODULES = ("multiprocessing", "threading", "concurrent")
+PROCESS_CALLS = ("os.fork", "os.waitpid", "os.kill")
+
+
+def process_code(source: str) -> list[str]:
+    """Imports of a module that starts threads or processes, and uses of
+    the calls that fork, reap or signal a process. The package starts no
+    thread (the premise of `trainer._set_allocator_policy`), and only
+    `procs.py` forks, reaps or kills."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in THREAD_MODULES or name in PROCESS_CALLS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_process_code():
+    source = (
+        "import os, multiprocessing.pool\nfrom concurrent import futures\n"
+        "from os import fork\npid = os.fork()\nos.waitpid(pid, 0)\nos.getpid()\n"
+    )
+    assert process_code(source) == [
+        "multiprocessing.pool (line 1)", "concurrent (line 2)", "concurrent.futures (line 2)",
+        "os.fork (line 3)", "os.fork (line 4)", "os.waitpid (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_procs_forks_and_nothing_starts_threads(path):
+    found = process_code(path.read_text(encoding="utf-8"))
+    if path.name == "procs.py":
+        found = [name for name in found if name.split(" ")[0] not in PROCESS_CALLS]
+    assert found == []
+
+
 def attributes_read(source: str) -> set[str]:
     """Names read as `x.name` anywhere in the source."""
     return {

@@ -2,9 +2,7 @@ import dataclasses
 import json
 import os
 import platform
-import re
 import signal
-import time
 from collections import Counter
 
 import numpy as np
@@ -14,7 +12,7 @@ from kwslab import autodiff as ad
 from kwslab import strategies, trainer
 from kwslab.autodiff import Segment, Sgd, Tensor
 from kwslab.config import STRATEGIES
-from kwslab.dsp import FEATURE_SHAPE
+from kwslab.dsp import FEATURE_SHAPE, read_wav
 from kwslab.errors import (
     CorpusError,
     EmptyDataError,
@@ -287,10 +285,19 @@ def test_extraction_helpers_follow_the_cpu_count_and_are_reaped(monkeypatch, tmp
     assert {pid for pid, _ in extracted()} == {os.getpid(), *forks}
 
 
-def test_a_helper_that_dies_hands_its_rows_back(monkeypatch, tmp_path):
-    """A helper killed in the middle of its rows reports nothing more; this
-    process extracts the rows it left, and every row is still bit for bit
-    a one-at-a-time extraction."""
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise():
+    raise ValueError("a helper-only fault")
+
+
+@pytest.mark.parametrize("fault", [_kill_self, _raise], ids=["SIGKILL", "raises"])
+def test_a_helper_that_dies_hands_its_rows_back(monkeypatch, tmp_path, fault):
+    """A helper killed, or whose `mfcc` raises, in the middle of its rows
+    reports nothing more; this process extracts the rows it left, and
+    every row is still bit for bit a one-at-a-time extraction."""
     cfg = micro_config()
     refs = _stream_refs(trainer.stream_for(cfg.seed, cfg.stream))
     parent, real_mfcc = os.getpid(), trainer.mfcc
@@ -298,7 +305,7 @@ def test_a_helper_that_dies_hands_its_rows_back(monkeypatch, tmp_path):
 
     def dying_mfcc(clip, *args, **kwargs):
         if os.getpid() != parent and clip.source_id == victim:
-            os.kill(os.getpid(), signal.SIGKILL)
+            fault()
         return real_mfcc(clip, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "mfcc", dying_mfcc)
@@ -307,6 +314,7 @@ def test_a_helper_that_dies_hands_its_rows_back(monkeypatch, tmp_path):
     _set_cpus(monkeypatch, 2)
     cache = FeatureCache(cfg.seed, cfg.stream)
     cache.require(len(cache.stream.tasks) - 1)
+    assert len(forks) == 1
     assert_reaped(forks)
     by_parent = {uri for pid, uri in extracted() if pid == parent}
     assert {victim, refs[-2].uri, refs[-1].uri} <= by_parent
@@ -335,57 +343,28 @@ def test_cpu_count_falls_back_without_an_affinity_mask(monkeypatch):
     assert trainer._usable_cpus() == 1
 
 
-@pytest.mark.parametrize("cpus, first_to_fail", [(1, None), (4, 5), (4, 6)])
-def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path, cpus, first_to_fail):
-    """Rows 5 and 6 are corrupt; at 4 CPUs they fall to different helper
-    processes, both loads start before either fails, and `first_to_fail`
-    fails first in time. Row 5's error is raised either way, by this
-    process once row 5's helper has reported it, and every helper is
-    reaped (row 6's may be killed before it fails, when row 5 fails
-    first)."""
-    corpus, marks = tmp_path / "corpus", tmp_path / "marks"
-    marks.mkdir()
+def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path):
+    """Rows 5 and 6 are corrupt. Building the stream raises row 5's error,
+    exactly as `read_wav` raises it, before any clip is loaded; so does a
+    cache on 4 CPUs, before it forks a helper."""
+    corpus = tmp_path / "corpus"
     materialize_synth(SynthConfig(n_keywords=7, clips_per_keyword=6), seed=0, out_dir=corpus)
     cfg = _dir_config(str(corpus))
-    stream = trainer.stream_for(cfg.seed, cfg.stream)
-    refs = _stream_refs(stream)
-    corrupt = [refs[5].uri, refs[6].uri]
-    for uri in corrupt:
-        (corpus / uri).write_bytes(b"not a wav file")
-    parent, real_load_clip = os.getpid(), TaskStream.load_clip
+    refs = _stream_refs(trainer.stream_for(cfg.seed, cfg.stream))
+    (corpus / refs[5].uri).write_bytes(b"not a wav file")
+    wav = corpus / refs[6].uri
+    wav.write_bytes(wav.read_bytes()[:-2])  # an even cut: whole samples, but fewer
+    with pytest.raises(WavFormatError) as read_error:
+        read_wav(os.path.join(str(corpus), refs[5].uri))
 
-    def wait_for(name):
-        deadline = time.monotonic() + 10
-        while not (marks / name).exists():
-            assert time.monotonic() < deadline, f"{name} never came"
-            time.sleep(0.001)
-
-    def ordered_load_clip(self, ref):
-        if first_to_fail is None or ref.uri not in corrupt or os.getpid() == parent:
-            return real_load_clip(self, ref)
-        row = refs.index(ref)
-        other = 11 - row  # 5 <-> 6
-        (marks / f"started{row}").touch()
-        wait_for(f"started{other}")
-        if row != first_to_fail:
-            wait_for(f"failed{other}")
-        try:
-            return real_load_clip(self, ref)
-        finally:
-            with open(marks / "order", "a", encoding="utf-8") as fh:
-                fh.write(f"{row}\n")
-            (marks / f"failed{row}").touch()
-
-    forks = record_forks(monkeypatch)
-    _set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(TaskStream, "load_clip", ordered_load_clip)
-    with pytest.raises(WavFormatError, match=re.escape(refs[5].uri)):
-        FeatureCache(cfg.seed, cfg.stream)
-    assert len(forks) == cpus - 1
-    assert_reaped(forks)
-    if first_to_fail is not None:
-        order = (marks / "order").read_text(encoding="utf-8").split()
-        assert order[0] == str(first_to_fail) and "5" in order
+    loads, forks = [], record_forks(monkeypatch)
+    monkeypatch.setattr(TaskStream, "load_clip", lambda self, ref: loads.append(ref))
+    _set_cpus(monkeypatch, 4)
+    for build in (trainer.stream_for, FeatureCache):
+        with pytest.raises(WavFormatError) as err:
+            build(cfg.seed, cfg.stream)
+        assert str(err.value) == str(read_error.value)
+    assert forks == [] and loads == []
 
 
 def test_an_empty_split_is_a_corpus_error_before_any_clip_is_read(monkeypatch, tmp_path):
