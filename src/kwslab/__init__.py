@@ -5,6 +5,7 @@ of tasks under interchangeable continual-learning strategies and reports the
 accuracy matrix, summary metrics, and footprint accounting for each run.
 """
 
+from . import procs  # first: it sets the BLAS thread count before numpy loads
 from .config import RunConfig, load_config
 from .errors import KwslabError
 from .metrics import RunReport, acc, bwt, la
@@ -20,6 +21,7 @@ __all__ = [
     "bwt",
     "la",
     "load_config",
+    "procs",
     "run",
     "__version__",
 ]

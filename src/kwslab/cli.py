@@ -254,10 +254,6 @@ def cmd_sweep(args) -> int:
     out_root = _out_root(args.out or manifest.get("out_dir"))
     cfgs = _sweep_configs(manifest, out_root)
     _require_one_stream_per_seed(cfgs)
-    if args.jobs > 1 and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
-        print("warning: --jobs processes each running BLAS on its default thread count can "
-              "make a sweep slower than --jobs 1; set OPENBLAS_NUM_THREADS=1",
-              file=sys.stderr, flush=True)
     reports, failed = _run_sweep(cfgs, args.jobs)
     if not reports:
         raise KwslabError(f"all {len(cfgs)} runs failed; no comparison written")

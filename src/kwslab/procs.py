@@ -1,9 +1,9 @@
-"""Forked workers: the package's one place that forks, polls, kills and reaps.
-
-`sys.stdout` and `sys.stderr` are flushed before each fork, so a child
-writes no inherited buffered text a second time, and in the child before it
-leaves through `os._exit`, so its own text is not lost. The package starts
-no thread of its own, and OpenBLAS stops its threads at a fork.
+"""Threads and processes, decided in one place. At import, before any module
+loads numpy, BLAS gets one thread unless the caller set one of
+`_BLAS_THREAD_VARS`; where numpy was imported before kwslab, this cannot act.
+Each fork flushes `sys.stdout` and `sys.stderr` first, so a child writes no
+inherited buffered text again, and the child flushes them before it leaves
+through `os._exit`, so its own text is not lost.
 """
 
 from __future__ import annotations
@@ -14,7 +14,19 @@ import signal
 import sys
 from typing import Callable
 
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+if not _BLAS_THREAD_VARS & os.environ.keys():
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 CAN_FORK = hasattr(os, "fork")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _flush_std_streams() -> None:

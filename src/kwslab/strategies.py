@@ -4,12 +4,13 @@ The trainer drives every strategy through the same hooks: before_task hands
 back what to train (model view, parameter vector, labeling), augment_data may
 mix in replayed samples, post_batch turns each step's task-loss gradient into
 the gradient the optimizer applies and the penalty value the logged loss adds
-(an anchor penalty adds its gradient, GEM projects), post_step observes the
-applied update, after_task consolidates state, and eval_logits routes
-evaluation for any learned task. Hooks a strategy does not need keep their
-identity defaults. Every route is one forward that states its batch-norm
-mode. A strategy reports what it holds beyond the base network through one
-hook, accounting. The feature layout is `dsp`'s to decide.
+(SI's anchor penalty adds its gradient, GEM projects), post_step observes
+the applied update (EWC pulls toward its anchor there), after_task
+consolidates state, and eval_logits routes evaluation for any learned task.
+Hooks a strategy does not need keep their identity defaults. Every route is
+one forward that states its batch-norm mode. A strategy reports what it
+holds beyond the base network through one hook, accounting. The feature
+layout is `dsp`'s to decide.
 """
 
 from __future__ import annotations
@@ -223,9 +224,28 @@ class AnchoredPenalty(GlobalHeadStrategy):
 
 
 class Ewc(AnchoredPenalty):
-    """Importance from accumulated squared gradients (Kirkpatrick et al. 2017)."""
+    """Importance from accumulated squared gradients (Kirkpatrick et al. 2017).
+
+    The pull toward the anchor is applied after each momentum step as an
+    exact proximal step, stable at any lam and omega (Parikh & Boyd 2014):
+    theta <- (theta + k·anchor) / (1 + k), with k = lr/(1 - momentum)·lam·omega
+    per weight. The 1/(1 - momentum) gives it the strength momentum gives an
+    explicit penalty gradient. `post_batch` adds no gradient; its value is
+    still `quadratic_penalty`'s.
+    """
 
     name = "ewc"
+
+    def post_batch(self, g_kws: np.ndarray) -> tuple[np.ndarray, float]:
+        return g_kws, super().post_batch(g_kws)[1]  # the pull is post_step's
+
+    def post_step(self, g_kws: np.ndarray, delta: np.ndarray) -> None:
+        if self.anchor is None or self.lam == 0.0:  # at lam 0 a -0.0 weight stays -0.0
+            return
+        sgd = self.ctx.cfg.sgd
+        k = sgd.learning_rate / (1.0 - sgd.momentum) * self.lam * self.omega
+        params = self.model.params
+        params.unflatten((params.flatten() + k * self.anchor) / (1.0 + k))
 
     def fisher(self, refs: list[ClipRef]) -> np.ndarray:
         """Diagonal importance: mean over samples of squared per-sample grads."""

@@ -6,7 +6,7 @@ strategy hooks wired into every step:
     backward(task loss) -> g_kws
     g, penalty = post_batch(g_kws)   (anchor penalty gradient, or GEM projection)
     delta = Sgd.step(g)
-    post_step(g_kws, delta)          (path-integral accounting)
+    post_step(g_kws, delta)          (path-integral accounting, or EWC's proximal pull)
     logged loss = task loss + penalty
 
 After each task the strategy consolidates, and every learned task is
@@ -26,11 +26,9 @@ strategies and a Pcl's for pcl and standalone. `FeatureCache.pretraining`
 trains a class's state on its first call and keeps its task-0 handle's
 named segments; every run restores a copy of them into its own task-0
 handle. A sweep that forks its runs calls it in the parent first, so each
-child only restores. Training and eval run in one single-threaded process.
-A run is bit-reproducible for a fixed config at a fixed BLAS thread count,
-whatever the CPU count; only wall-clock timings differ between repeats. A
-different BLAS thread count may change how BLAS sums a GEMM, and with it the
-last bits of the numbers.
+child only restores. Training and eval run in one process on one BLAS
+thread unless the caller set a count (`procs`), so a run is bit-reproducible
+for a fixed config on any CPU count, up to its wall-clock timings.
 """
 
 from __future__ import annotations
@@ -98,14 +96,6 @@ def _set_allocator_policy() -> bool:
     return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 class FeatureCache:
     """The stream that `(seed, stream_cfg)` names, built and fingerprinted
     once, and the MFCC features of its train and test clips by clip URI.
@@ -169,7 +159,7 @@ class FeatureCache:
         self._ready = 0  # rows [0, ready) are done
         self._helpers = procs.Workers()  # each tagged with the rows it was given
         try:
-            self._start_helpers(_usable_cpus() - 1)
+            self._start_helpers(procs.usable_cpus() - 1)
             self.require(0)
         except BaseException:
             self.close()

@@ -4,6 +4,14 @@ import sys
 import hypothesis
 import pytest
 
+# Read before `import kwslab`, which sets a BLAS thread count where the
+# caller set none.
+BLAS_THREADS_SET_BY_CALLER = bool(
+    {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys()
+)
+
+import kwslab  # before any test module loads numpy, so tests run BLAS on one thread
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 hypothesis.settings.register_profile(

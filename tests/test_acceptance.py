@@ -2,7 +2,8 @@
 single "criterion N: PASS" line.
 
 The ordering criteria (5 and 6) train real models and dominate the runtime;
-they share session-scoped sweeps. Everything else is seconds.
+they share session-scoped sweeps, and so does the check that ewc finishes at
+its defaults. Everything else is seconds.
 """
 
 import os
@@ -15,7 +16,7 @@ import gradcheck
 import oracles
 from conftest import MICRO_FLAT, micro_config
 from kwslab import autodiff as ad
-from kwslab import cli, metrics, models, trainer
+from kwslab import cli, metrics, models, procs, trainer
 from kwslab.autodiff import Tensor
 from kwslab.config import config_from_mapping
 from kwslab.models import (
@@ -38,11 +39,11 @@ DRIFT_BASE = {"synth.freq_jitter": "0.03", "pcl.encoder_lr_scale": "0.1"}
 
 def _sweep(strategies, base, seeds=SEEDS):
     """Every strategy at every seed, seed by seed, through the program's
-    sweep loop in one process: the runs of a seed share one stream's
-    features. Every run must finish."""
+    sweep loop with a run on each usable CPU: the runs of a seed share one
+    stream's features. Every run must finish."""
     cfgs = [config_from_mapping({"strategy": strategy, "seed": str(seed), **base})
             for seed in seeds for strategy in strategies]
-    reports, failed = cli._run_sweep(cfgs, jobs=1)
+    reports, failed = cli._run_sweep(cfgs, jobs=procs.usable_cpus())
     assert failed == [], [entry["error"] for entry in failed]
     return {(report.strategy, report.seed): report for report in reports}
 
@@ -53,9 +54,9 @@ def _majority(votes):
 
 @pytest.fixture(scope="session")
 def ordering_sweep():
-    """Six strategies x three seeds on the default synthetic stream."""
+    """Seven strategies x three seeds on the default synthetic stream."""
     t0 = time.perf_counter()
-    reports = _sweep(("standalone", "pcl", "nr", "gem", "si", "finetune"), ORDERING_BASE)
+    reports = _sweep(("standalone", "pcl", "nr", "gem", "si", "finetune", "ewc"), ORDERING_BASE)
     return reports, time.perf_counter() - t0
 
 
@@ -324,6 +325,14 @@ def test_criterion_05_strategy_ordering(ordering_sweep):
     assert _majority([reports["finetune", s].bwt < -0.1 for s in SEEDS])
     assert _majority([reports["pcl", s].bwt > -0.05 for s in SEEDS])
     print("criterion 5: PASS")
+
+
+def test_ewc_at_its_defaults_forgets_less_than_finetune(ordering_sweep):
+    """ewc at its package defaults (the ordering knobs set no ewc key)
+    finishes at every seed, and its BWT beats finetune's on most of them."""
+    reports, _ = ordering_sweep
+    assert not [key for key in ORDERING_BASE if key.startswith("ewc.")]
+    assert _majority([reports["ewc", s].bwt > reports["finetune", s].bwt for s in SEEDS])
 
 
 def test_criterion_06_accuracy_vs_tasks_trend(drift_curves):

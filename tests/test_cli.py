@@ -628,7 +628,6 @@ def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, caps
     gem is listed under `failed` with why, while finetune, which runs beside
     it, and nr, which starts after it, finish and are compared. The sweep
     exits 2 with a one-line error."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     root = tmp_path / "sweeps"
     path = write_sweep(tmp_path, ["finetune", "gem", "nr"])
     setup(monkeypatch)
@@ -739,32 +738,11 @@ def test_a_line_buffered_before_a_sweep_forks_is_written_once(tmp_path):
         [sys.executable, "-c",
          f"import sys, kwslab.cli; print('before the forks'); sys.exit(kwslab.cli.main({argv!r}))"],
         capture_output=True, text=True, timeout=600,
-        env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        env={**env, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("before the forks") == 1
     assert proc.stdout.startswith("before the forks\n")
-
-
-@pytest.mark.parametrize("jobs, blas_threads, warned", [
-    ("2", None, True),
-    pytest.param("2", "1", False),
-    ("1", None, False),
-])
-def test_a_parallel_sweep_warns_about_unset_blas_threads(tmp_path, capsys, monkeypatch,
-                                                         jobs, blas_threads, warned):
-    """--jobs processes that each run BLAS on its default thread count can
-    be slower than one process, so the sweep says how to pin it."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    if blas_threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-    path = write_sweep(tmp_path, ["finetune"])
-    argv = ["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps"), "--jobs", jobs]
-    assert main(argv) == 0
-    err = capsys.readouterr().err
-    assert ("set OPENBLAS_NUM_THREADS=1" in err) == warned
-    assert err.count("\n") == warned
 
 
 def artifacts(out_dir):

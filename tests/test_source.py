@@ -3,6 +3,7 @@
 import ast
 import collections
 import pathlib
+import sys
 
 import pytest
 
@@ -159,6 +160,51 @@ def test_only_procs_forks_and_nothing_starts_threads(path):
     if path.name == "procs.py":
         found = [name for name in found if name.split(" ")[0] not in PROCESS_CALLS]
     assert found == []
+
+
+def blas_pin_order_errors(init_source: str, procs_source: str) -> list[str]:
+    """Why `procs`'s BLAS pin might not be set before numpy loads: an import
+    in `__init__.py` that comes before `from . import procs`, or a module
+    outside the standard library that `procs` imports. BLAS reads its thread
+    count once, when numpy loads it, so a reordered import would silently
+    undo the pin."""
+    found = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None \
+                and [alias.name for alias in node.names] == ["procs"]:
+            break
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            found.append(f"__init__.py imports before procs (line {node.lineno})")
+    else:
+        found.append("__init__.py does not import procs on its own line")
+    for node in ast.walk(ast.parse(procs_source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [f"procs.py imports {name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_checker_flags_imports_that_could_load_numpy_before_the_pin():
+    pin = "from __future__ import annotations\nfrom . import procs\n"
+    assert blas_pin_order_errors(pin + "from .config import x\n", "import os\n") == []
+    assert blas_pin_order_errors("import numpy\n" + pin, "import os.path\nfrom . import seeding\n"
+                                 "from numpy import ndarray\n") == [
+        "__init__.py imports before procs (line 1)",
+        "procs.py imports . (line 2)", "procs.py imports numpy (line 3)",
+    ]
+    assert blas_pin_order_errors("from . import procs, config\n", "") == [
+        "__init__.py imports before procs (line 1)", "__init__.py does not import procs on its own line",
+    ]
+
+
+def test_procs_pins_blas_before_any_module_loads_numpy():
+    assert blas_pin_order_errors((SRC / "__init__.py").read_text(encoding="utf-8"),
+                                 (SRC / "procs.py").read_text(encoding="utf-8")) == []
 
 
 def attributes_read(source: str) -> set[str]:

@@ -435,10 +435,19 @@ def test_ewc_lifecycle(ctx):
     theta = ewc.model.params.flatten()
     ewc.model.params.unflatten(theta + 1e-3)
     g, value = ewc.post_batch(g_kws)
+    assert g is g_kws  # the pull is a proximal step in post_step, not a gradient
     assert value > 0.0
-    expected_value, grad = quadratic_penalty(theta + 1e-3, ewc.anchor, ewc.omega, ewc.lam)
-    assert value == expected_value
-    np.testing.assert_array_equal(g, g_kws + grad)
+    assert value == quadratic_penalty(theta + 1e-3, ewc.anchor, ewc.omega, ewc.lam)[0]
+    ewc.post_step(g_kws, np.zeros_like(g_kws))
+    sgd = ctx.cfg.sgd
+    k = sgd.learning_rate / (1.0 - sgd.momentum) * ewc.lam * ewc.omega
+    pulled = ewc.model.params.flatten()
+    np.testing.assert_array_equal(pulled, (theta + 1e-3 + k * ewc.anchor) / (1.0 + k))
+    # it minimizes the penalty plus the distance to the step's weights, at step lr/(1 - momentum)
+    np.testing.assert_allclose(pulled - (theta + 1e-3),
+                               -sgd.learning_rate / (1.0 - sgd.momentum)
+                               * quadratic_penalty(pulled, ewc.anchor, ewc.omega, ewc.lam)[1],
+                               rtol=1e-9, atol=1e-15)
     ewc.model.params.unflatten(theta)
 
     omega_before = ewc.omega.copy()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kwslab import autodiff as ad
-from kwslab import strategies, trainer
+from kwslab import procs, strategies, trainer
 from kwslab.autodiff import Segment, Sgd, Tensor
 from kwslab.config import STRATEGIES
 from kwslab.dsp import FEATURE_SHAPE, read_wav
@@ -243,7 +243,7 @@ def _stream_refs(stream):
 
 
 def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(procs.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -336,11 +336,11 @@ def test_a_closed_cache_extracts_what_is_missing_itself(monkeypatch, tmp_path):
 
 
 def test_cpu_count_falls_back_without_an_affinity_mask(monkeypatch):
-    monkeypatch.delattr(trainer.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(trainer.os, "cpu_count", lambda: 3)
-    assert trainer._usable_cpus() == 3
-    monkeypatch.setattr(trainer.os, "cpu_count", lambda: None)
-    assert trainer._usable_cpus() == 1
+    monkeypatch.delattr(procs.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(procs.os, "cpu_count", lambda: 3)
+    assert procs.usable_cpus() == 3
+    monkeypatch.setattr(procs.os, "cpu_count", lambda: None)
+    assert procs.usable_cpus() == 1
 
 
 def test_first_corrupt_wav_in_stream_order_is_raised(monkeypatch, tmp_path):
