@@ -31,7 +31,7 @@ from .models import (
     scale_channels,
 )
 from .taskstream import materialize_synth
-from .trainer import FeatureCache, stream_for
+from .trainer import FeatureCache
 from .trainer import run as run_training
 
 OUT_ENV = "KWSLAB_OUT"
@@ -106,9 +106,7 @@ def _reap(children: procs.Workers, done) -> None:
 
 
 def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
-    """A comparison needs every run of a seed to name one stream section;
-    say so, and build each seed's stream once (a missing or too small
-    corpus, or a corrupt WAV, fails here), before any run trains."""
+    """A comparison needs every run of a seed to name one stream section."""
     stream_of_seed = {}
     for cfg in cfgs:
         if stream_of_seed.setdefault(cfg.seed, cfg.stream) != cfg.stream:
@@ -117,23 +115,23 @@ def _require_one_stream_per_seed(cfgs: list[RunConfig]) -> None:
                 f"runs of seed {cfg.seed} would train on different streams; "
                 "stream keys belong in the manifest base",
             )
-    for seed, stream_cfg in stream_of_seed.items():
-        stream_for(seed, stream_cfg)
 
 
 def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[dict]]:
     """Run `cfgs` through `_sweep_worker` one stream at a time: a run of
-    consecutive configs with one seed and stream section. Each stream's
-    `FeatureCache` is built here once, complete before its first run, and
-    dropped before the next one is built; a cache that cannot be built
-    fails every run of its stream. At `jobs` 1, or where processes cannot
-    fork, every run runs in this process. Otherwise each runs in a child
-    forked through `procs`, at most `jobs` at once, on the cache it
-    inherits copy-on-write, and pickles `_sweep_worker`'s result into its
-    pipe. Before each fork this process gets or trains the config's task 0
-    in the cache, so that the child only restores it; a warm-up that
-    raises, or a fork refused, fails the config here. The cache is
-    complete by then, so every extraction helper has been reaped.
+    consecutive configs with one seed and stream section. Every stream's
+    `FeatureCache` is built first, so each stream is built once and a
+    stream that cannot be built (a missing or too small corpus, a corrupt
+    WAV) raises here before any run. Each cache is dropped before the next
+    one's first barrier. At `jobs` 1, or where processes cannot fork, every
+    run runs in this process and waits at its cache's barriers as a lone
+    run does. Otherwise each runs in a child forked through `procs`, at
+    most `jobs` at once, on the cache it inherits copy-on-write, and
+    pickles `_sweep_worker`'s result into its pipe. Before each fork this
+    process gets or trains the config's task 0 in the cache, so that the
+    child only restores it, then waits for the last task's rows, so that
+    the child inherits a complete block and no helper; a warm-up or an
+    extraction that raises, or a fork refused, fails the config here.
     Prints one progress line per run, in config order, and returns the
     finished runs' reports and an entry per failed run."""
     reports, failed, results = [], [], {}
@@ -151,20 +149,12 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
                 reports.append(result)
 
     forking = jobs > 1 and procs.CAN_FORK
+    streams = [(FeatureCache(seed, stream_cfg), list(stream)) for (seed, stream_cfg), stream in
+               itertools.groupby(enumerate(cfgs), lambda item: (item[1].seed, item[1].stream))]
     children = procs.Workers()  # each tagged (config index, start time, warm-up seconds)
     try:
-        streams = itertools.groupby(enumerate(cfgs), lambda item: (item[1].seed, item[1].stream))
-        for (seed, stream_cfg), stream in streams:
-            stream = list(stream)
-            t0 = time.perf_counter()
-            try:
-                features = FeatureCache(seed, stream_cfg)
-                features.require(len(features.stream.tasks) - 1)
-            except Exception as exc:
-                error = _error_text(exc), time.perf_counter() - t0
-                for index, _ in stream:
-                    done(index, error)
-                continue
+        while streams:
+            features, stream = streams.pop(0)
             for index, cfg in stream:
                 if not forking:
                     done(index, _sweep_worker(cfg, features))
@@ -174,11 +164,12 @@ def _run_sweep(cfgs: list[RunConfig], jobs: int) -> tuple[list[RunReport], list[
                 t0 = time.perf_counter()
                 try:
                     features.pretraining(cfg)
+                    features.require(len(features.stream.tasks) - 1)
                     children.start(functools.partial(_send_result, cfg, features),
                                    (index, t0, time.perf_counter() - t0))
                 except Exception as exc:  # a refused fork is an OSError (EAGAIN or ENOMEM)
                     done(index, (_error_text(exc), time.perf_counter() - t0))
-            del features  # before the next stream's cache is built
+            del features  # before the next stream's first barrier
         while children:
             _reap(children, done)
     finally:

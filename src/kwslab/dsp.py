@@ -5,7 +5,8 @@ mel filterbank (HTK scale), floored log, orthonormal DCT-II. The settings
 are fixed module constants (conventional KWS values), so the window,
 filterbank and DCT are built once at import and shared as read-only arrays.
 Everything else is a pure function of the input clip, so results are
-bitwise reproducible and safe to call from multiple threads.
+bitwise reproducible in any process: the package starts no threads, and
+its extraction helpers are forked processes.
 
 Every clip the package makes is SAMPLE_RATE audio (`read_wav` rejects any
 other rate), and a clip padded or trimmed to CLIP_SAMPLES gives one feature

@@ -206,6 +206,14 @@ def build_comparison(reports: list[RunReport]) -> list[dict]:
         raise ConfigError("comparison", f"reports mix seeds {sorted(seeds)}")
     if len(fingerprints) > 1:
         raise ConfigError("comparison", "reports were produced on different streams")
+    strategies = [r.strategy for r in reports]
+    for name in sorted(set(strategies)):
+        if strategies.count(name) > 1:  # two table rows, and ACC+ against either finetune
+            raise ConfigError(
+                "comparison",
+                f"{strategies.count(name)} reports of strategy {name!r} for seed "
+                f"{reports[0].seed}; a comparison takes each strategy once",
+            )
     baseline = next((r for r in reports if r.strategy == "finetune"), None)
     rows = []
     for r in sorted(reports, key=lambda r: r.strategy):

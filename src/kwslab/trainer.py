@@ -16,19 +16,20 @@ rows each task hands back, and the footprint fields from the strategy's
 `accounting()`. A non-finite loss saves the parameters being trained as
 `diagnostic_task<t>.ckpt`, then raises `NanLossError`. A seed and a stream
 section name a stream: the `FeatureCache` built from the pair builds it,
-once, and extracts its clips' features in helper processes forked through
-`procs`, one per further usable CPU. Before each task the run waits at the
-cache's barrier, `require(t)`, until every clip of tasks 0..t is in, so a
-lone run trains task 0 while the helpers extract the later tasks, and
-`epoch_seconds` covers training only. The cache also holds one task-0 state per
-pretraining class (`Strategy.pretrained_by`): an Si's for the global-head
-strategies and a Pcl's for pcl and standalone. `FeatureCache.pretraining`
-trains a class's state on its first call and keeps its task-0 handle's
-named segments; every run restores a copy of them into its own task-0
-handle. A sweep that forks its runs calls it in the parent first, so each
-child only restores. Training and eval run in one process on one BLAS
-thread unless the caller set a count (`procs`), so a run is bit-reproducible
-for a fixed config on any CPU count, up to its wall-clock timings.
+once. Its first barrier forks helper processes through `procs`, one per
+further usable CPU, to extract its clips' features. Before each task the run
+waits at the cache's barrier, `require(t)`, until every clip of tasks 0..t
+is in, so a run trains task 0 while the helpers extract the later tasks,
+and `epoch_seconds` covers training only. The cache also holds one task-0
+state per pretraining class (`Strategy.pretrained_by`): an Si's for the
+global-head strategies and a Pcl's for pcl and standalone.
+`FeatureCache.pretraining` trains a class's state on its first call and
+keeps its task-0 handle's named segments; every run restores a copy of them
+into its own task-0 handle. A sweep that forks its runs calls it in the
+parent first, so each child only restores. Training and eval run in one
+process on one BLAS thread unless the caller set a count (`procs`), so a
+run is bit-reproducible for a fixed config on any CPU count, up to its
+wall-clock timings.
 """
 
 from __future__ import annotations
@@ -97,43 +98,42 @@ def _set_allocator_policy() -> bool:
 
 
 class FeatureCache:
-    """The stream that `(seed, stream_cfg)` names, built and fingerprinted
-    once, and the MFCC features of its train and test clips by clip URI.
+    """The stream that `(seed, stream_cfg)` names, built, checked and
+    fingerprinted once, and the MFCC features of its train and test clips
+    by clip URI. Building the cache maps no block, loads no clip and forks
+    nothing: its first barrier does that.
 
-    Building the cache first sets the process's allocator policy
-    (`_set_allocator_policy`). Every clip has one row of a float64 block of
-    shape [n_clips, *dsp.FEATURE_SHAPE], in stream order, so rows
-    [0, end of task t) hold every clip of tasks 0..t. The block is one
-    shared anonymous mmap. One helper process per further usable CPU is
-    forked through `procs`; each writes its rows into the block in stream
-    order and reports each finished row on its pipe. Task 0's rows are
-    striped over this process and the helpers, and the later rows over the
-    helpers alone. The constructor returns once task 0's rows are in, so a
-    lone run trains task 0 while the helpers extract the later tasks.
-    `mfcc` is a pure function of its clip, so every row is bit for bit what
-    a one-at-a-time extraction gives, whatever the CPU count. With one
-    usable CPU, or where processes cannot fork, there are no helpers, and
-    this process extracts each task's rows at its barrier.
+    `require(t)` is the barrier: it returns once every clip of tasks 0..t
+    is in, and `__call__` waits the same way for a row that is not in yet.
+    The first barrier sets the process's allocator policy
+    (`_set_allocator_policy`), then maps a float64 block of shape
+    [n_clips, *dsp.FEATURE_SHAPE], one shared anonymous mmap with a row
+    per clip in stream order, so rows [0, end of task t) hold every clip
+    of tasks 0..t. It forks one helper per further usable CPU through
+    `procs`; each writes its rows into the block in stream order and
+    reports each finished row on its pipe. Task 0's rows are striped over
+    this process and the helpers, and the later rows over the helpers
+    alone, so a run trains task 0 while the helpers extract the later
+    tasks. `mfcc` is a pure function of its clip, so every row is bit for
+    bit what a one-at-a-time extraction gives, whatever the CPU count.
+    With one usable CPU, or where processes cannot fork, there are no
+    helpers, and this process extracts each task's rows at its barrier.
 
-    `require(t)` is the barrier: it returns once tasks 0..t are in, and
-    `__call__` waits the same way for a row that is not in yet. A helper
-    that ends without reporting all its rows, killed or raising (a WAV
-    stream's files were checked when it was built), hands them back to
-    this process, which extracts them itself. The helpers end once every
-    row is in; `close()` kills and reaps any still alive, and a barrier that
-    raises closes the cache first. A closed cache still serves every clip:
-    its missing rows are extracted here.
+    A helper that ends without reporting all its rows, killed or raising
+    (a WAV stream's files were checked when it was built), hands them back
+    to this process, which extracts them itself. The helpers end once
+    every row is in; `close()` kills and reaps any still alive, and a
+    barrier that raises closes the cache first. A closed cache still
+    serves every clip: its missing rows are extracted here.
 
-    Every run path asks for its task's rows before the task: a lone `run`
-    at each task, and a sweep for the last task before its first run, so
-    forked sweep runs inherit a complete block and no helper. One cache
-    serves every run whose config names its pair, on exactly the clips it
-    extracted; a clip outside the stream is a `StreamMismatchError`. It
-    also holds the task-0 states those runs adopt (`pretraining`).
+    A sweep forks a run only once the last task is in, so forked runs
+    inherit a complete block and no helper. One cache serves every run
+    whose config names its pair, on exactly the clips it extracted; a clip
+    outside the stream is a `StreamMismatchError`. It also holds the
+    task-0 states those runs adopt (`pretraining`).
     """
 
     def __init__(self, seed: int, stream_cfg: StreamConfig):
-        _set_allocator_policy()
         self.seed, self.stream_cfg = seed, stream_cfg
         self.stream = stream_for(seed, stream_cfg)
         self.stream_fingerprint = stream_fingerprint(self.stream)
@@ -147,23 +147,24 @@ class FeatureCache:
                     self._row[ref.uri] = len(self._refs)
                     self._refs.append(ref)
             self._task_end.append(len(self._refs))
+        self._block: np.ndarray | None = None  # what `__call__` hands out, from the first barrier
+        self._ready = 0  # rows [0, ready) are done
+        self._helpers = procs.Workers()  # each tagged with the rows it was given
+
+    def _start(self) -> None:
+        """The first barrier's work: set the allocator policy, map the block
+        and fork the helpers."""
+        _set_allocator_policy()
         n = len(self._refs)
         shape = (n, *FEATURE_SHAPE)
         # mmap's default on Unix is MAP_SHARED: a helper's writes land here
         shared = mmap.mmap(-1, max(1, math.prod(shape) * 8))
         self._writable = np.ndarray(shape, dtype=np.float64, buffer=shared)
-        self._block = self._writable.view()  # what `__call__` hands out
+        self._block = self._writable.view()
         self._block.flags.writeable = False
         self._done = np.zeros(n, dtype=bool)
         self._mine = np.ones(n, dtype=bool)  # rows this process extracts
-        self._ready = 0  # rows [0, ready) are done
-        self._helpers = procs.Workers()  # each tagged with the rows it was given
-        try:
-            self._start_helpers(procs.usable_cpus() - 1)
-            self.require(0)
-        except BaseException:
-            self.close()
-            raise
+        self._start_helpers(procs.usable_cpus() - 1)
 
     def _extract(self, i: int) -> None:
         self._writable[i] = mfcc(pad_or_trim(self.stream.load_clip(self._refs[i]))).T
@@ -213,6 +214,8 @@ class FeatureCache:
         """Return once rows [0, end) are in, extracting this process's rows
         among them and reading the helpers' reports."""
         try:
+            if self._block is None:
+                self._start()
             self._read_helpers(0)
             while True:
                 while self._ready < end and self._done[self._ready]:
@@ -243,12 +246,14 @@ class FeatureCache:
         pretraining class and `_pretraining_key`: the trained task-0
         handle's segments (weights, running statistics and, for an Si, the
         path integral), with the training-log and epoch-time rows. The
-        first call for a (class, key) trains it with a new object of the
-        class; the segments are taken from that dropped producer and are
-        never written."""
+        first call for a (class, key) waits for task 0's rows, outside the
+        epoch clock, then trains it with a new object of the class; the
+        segments are taken from that dropped producer and are never
+        written."""
         cls = strategy_class(cfg.strategy).pretrained_by
         key = (cls, _pretraining_key(cfg))
         if key not in self._pretrained:
+            self.require(0)
             producer, task = cls(TrainContext(cfg=cfg, features=self)), self.stream.task(0)
             log, seconds = _train_task(producer, task)
             # the producer is dropped and `restore_into` copies, so no copy here

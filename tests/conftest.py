@@ -86,6 +86,26 @@ def log_extractions(monkeypatch, path):
     return read
 
 
+def forbid_extraction_in_tasks(monkeypatch, extracted):
+    """Make `trainer._train_task` assert that this process extracts no clip
+    while it trains a task, so `epoch_seconds` times training only;
+    `extracted` reads a `log_extractions` log."""
+    from kwslab import trainer
+
+    real_train_task = trainer._train_task
+
+    def extracted_here():
+        return [uri for pid, uri in extracted() if pid == os.getpid()]
+
+    def checked_train_task(*args, **kwargs):
+        before = extracted_here()
+        rows = real_train_task(*args, **kwargs)
+        assert extracted_here() == before
+        return rows
+
+    monkeypatch.setattr(trainer, "_train_task", checked_train_task)
+
+
 def record_forks(monkeypatch):
     """Record the pid of every child that `os.fork` makes from now on."""
     pids = []

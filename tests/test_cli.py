@@ -14,10 +14,17 @@ import pytest
 
 from kwslab import cli, procs, taskstream, trainer
 from kwslab.cli import _run_sweep, _sweep_configs, main
-from kwslab.errors import ConfigError, NanLossError
+from kwslab.errors import ConfigError, NanLossError, WavFormatError
 from kwslab.metrics import compare_by_seed, load_report, reports_equivalent
 
-from conftest import MICRO_FLAT, assert_reaped, log_extractions, micro_config, record_forks
+from conftest import (
+    MICRO_FLAT,
+    assert_reaped,
+    forbid_extraction_in_tasks,
+    log_extractions,
+    micro_config,
+    record_forks,
+)
 
 
 def log_extractions_in_runs(monkeypatch, path):
@@ -268,8 +275,10 @@ def test_sweep_and_report(tmp_path, capsys):
 
 def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     """Runs on one stream share its features; a stream key override and a
-    second seed each make a new stream. Reports match separate runs, in
-    run order, with one progress line per run.
+    second seed each make a new stream. Each clip is extracted once per
+    stream across the process tree, and never inside a task's training in
+    the runs' process. Reports match separate runs, in run order, with one
+    progress line per run.
 
     The runner is called directly: a comparison needs every run of a seed on
     one stream, so `kwslab sweep` rejects this manifest before training. The
@@ -286,10 +295,9 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
     )
 
     extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
-    in_runs = log_extractions_in_runs(monkeypatch, tmp_path / "in_runs.log")
+    forbid_extraction_in_tasks(monkeypatch, extracted)
     shared, failed = _run_sweep(cfgs, jobs=1)
     monkeypatch.undo()
-    assert in_runs() == []
     assert failed == []
     out = capsys.readouterr().out
 
@@ -312,10 +320,10 @@ def test_sweep_runs_share_features_per_stream(tmp_path, capsys, monkeypatch):
         assert reports_equivalent(report, alone), cfg.out_dir
 
 
-def test_a_sweep_builds_its_stream_twice_and_fingerprints_it_once(tmp_path, capsys,
-                                                                  monkeypatch):
-    """The stream check builds the seed's stream once, and the seed's feature
-    cache builds and fingerprints it once more; no run builds it again."""
+def test_a_sweep_builds_its_stream_once_and_fingerprints_it_once(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The seed's feature cache builds and fingerprints its stream once; no
+    check and no run builds it again."""
     calls = Counter()
     for name in ("synth_stream", "stream_fingerprint"):
         def counted(*args, _name=name, _real=getattr(trainer, name)):
@@ -324,7 +332,7 @@ def test_a_sweep_builds_its_stream_twice_and_fingerprints_it_once(tmp_path, caps
         monkeypatch.setattr(trainer, name, counted)
     path = write_sweep(tmp_path, ["standalone", "pcl", "nr", "gem", "si", "finetune"])
     assert main(["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps")]) == 0
-    assert calls == {"synth_stream": 2, "stream_fingerprint": 1}
+    assert calls == {"synth_stream": 1, "stream_fingerprint": 1}
 
 
 FORK_ONLY = pytest.mark.skipif(not procs.CAN_FORK,
@@ -333,23 +341,25 @@ FORK_ONLY = pytest.mark.skipif(not procs.CAN_FORK,
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
 def test_the_sweep_cache_drops_a_stream_before_building_the_next(tmp_path, monkeypatch, jobs):
-    """One stream's features at a time: a new seed's cache is built only
-    after the sweep has dropped the last one, in-process and forking."""
-    live, alive_at_build = weakref.WeakSet(), []
+    """One stream's features at a time: a seed's cache reaches its first
+    barrier only after the sweep has dropped the last one's, in-process and
+    forking."""
+    started, alive_at_start = weakref.WeakSet(), []
 
     class Cache:
         def __init__(self, seed, stream_cfg):
-            alive_at_build.append(len(live))
-            live.add(self)
             self.stream = trainer.stream_for(seed, stream_cfg)
 
         def require(self, task_id):
-            pass
+            if self not in started:
+                alive_at_start.append(len(started))
+                started.add(self)
 
         def pretraining(self, cfg):
             pass
 
     def run(cfg, features=None):
+        features.require(0)
         raise NanLossError("not trained")
 
     monkeypatch.setattr(cli, "FeatureCache", Cache)
@@ -357,7 +367,7 @@ def test_the_sweep_cache_drops_a_stream_before_building_the_next(tmp_path, monke
     manifest = {"base": dict(MICRO_FLAT), "strategies": ["finetune", "nr"], "seeds": [0, 1]}
     reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path)), jobs)
     assert reports == [] and len(failed) == 4
-    assert alive_at_build == [0, 0] and len(live) == 0
+    assert alive_at_start == [0, 0] and len(started) == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -645,32 +655,35 @@ def test_a_killed_worker_fails_and_the_finished_runs_are_compared(tmp_path, caps
 
 @FORK_ONLY
 def test_an_interrupted_sweep_leaves_no_child_behind(tmp_path, monkeypatch):
-    """Ctrl-C in the sweep's process while a run's child is busy: the
-    interrupt reaches the caller, and the child is killed and reaped."""
-    real_cache = cli.FeatureCache
+    """Ctrl-C in the sweep's process, at seed 1's warm-up, while seed 0's
+    run's child is busy: the interrupt reaches the caller, and the child is
+    killed and reaped."""
+    real_pretraining = trainer.FeatureCache.pretraining
 
-    def cache(seed, stream_cfg):
-        if seed == 1:
+    def pretraining(features, cfg):
+        if cfg.seed == 1:
             raise KeyboardInterrupt
-        return real_cache(seed, stream_cfg)
+        return real_pretraining(features, cfg)
 
     def run(cfg, features=None):
         time.sleep(120)
 
-    monkeypatch.setattr(cli, "FeatureCache", cache)
+    monkeypatch.setattr(trainer.FeatureCache, "pretraining", pretraining)
     monkeypatch.setattr(cli, "run_training", run)
     manifest = {"base": dict(MICRO_FLAT), "strategies": ["finetune"], "seeds": [0, 1]}
-    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(procs.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    forks = record_forks(monkeypatch)  # on 1 CPU a cache forks no helper: runs only
     with pytest.raises(KeyboardInterrupt):
         _run_sweep(_sweep_configs(manifest, str(tmp_path)), jobs=2)
-    assert forks
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
-def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monkeypatch, jobs):
-    """A corrupt WAV fails the stream's cache, and with it every run of the
-    stream, with one error. The sweep's process checks the clip once, when
+def test_a_stream_that_fails_to_build_stops_the_sweep_before_any_run(tmp_path, capsys,
+                                                                     monkeypatch, jobs):
+    """A corrupt WAV fails the stream's cache, and `_run_sweep` raises its
+    error before any run. The sweep's process checks the clip once, when
     it builds the stream; no process reads it, and none is forked."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--keywords", "7", "--clips", "6"]) == 0
@@ -687,15 +700,95 @@ def test_a_stream_that_fails_to_build_fails_its_runs_once(tmp_path, capsys, monk
                 fh.write(f"{_name} {os.getpid()} {args[-1]}\n")
             return _real(*args, **kwargs)
         monkeypatch.setattr(taskstream, name, logging)
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: trained.append(a))
     forks = record_forks(monkeypatch)
-    reports, failed = _run_sweep(_sweep_configs(manifest, str(tmp_path / "sweeps")), jobs)
-    assert reports == []
-    assert [(f["strategy"], f["seed"]) for f in failed] == [("finetune", 0), ("nr", 0)]
-    assert failed[0]["error"] == failed[1]["error"]
-    assert failed[0]["error"].startswith("WavFormatError: ") and str(wav) in failed[0]["error"]
+    with pytest.raises(WavFormatError) as err:
+        _run_sweep(_sweep_configs(manifest, str(tmp_path / "sweeps")), jobs)
+    assert str(wav) in str(err.value)
+    assert trained == [] and " wall=" not in capsys.readouterr().out
     lines = log.read_text(encoding="utf-8").splitlines()
     assert [line for line in lines if line.endswith(f" {wav}")] == [f"check_wav {os.getpid()} {wav}"]
     assert forks == []
+
+
+def fail_a_clip_of_seed0(monkeypatch):
+    """Make loading one clip of seed 0's last task raise an `OSError`, in
+    every process; returns the error text a run fails with."""
+    stream = trainer.stream_for(0, micro_config().stream)
+    victim = stream.tasks[-1].train[0].uri
+    real_load_clip = taskstream.TaskStream.load_clip
+
+    def load_clip(self, ref):
+        if self.seed == 0 and ref.uri == victim:
+            raise OSError(errno.EIO, f"cannot read {victim}")
+        return real_load_clip(self, ref)
+
+    monkeypatch.setattr(taskstream.TaskStream, "load_clip", load_clip)
+    return f"OSError: [Errno {errno.EIO}] cannot read {victim}"
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
+def test_a_clip_that_cannot_be_extracted_fails_each_run_of_its_stream(tmp_path, capsys,
+                                                                      monkeypatch, jobs):
+    """A clip of seed 0's stream that cannot be loaded once the streams are
+    built fails each run of seed 0 with its own error; seed 1's runs finish
+    and are compared, and the sweep exits 2."""
+    path = write_sweep(tmp_path, ["finetune", "nr"], seeds=(0, 1))
+    error = fail_a_clip_of_seed0(monkeypatch)
+    forks = record_forks(monkeypatch)
+    root = tmp_path / "sweeps"
+    assert main(["sweep", "--manifest", str(path), "--out", str(root), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == (
+        "error: KwslabError: 2 of 4 runs failed; comparison.json lists them under 'failed'\n"
+    )
+    doc = json.loads((root / "comparison.json").read_text())
+    assert doc["failed"] == [
+        {"strategy": strategy, "seed": 0, "error": error} for strategy in ("finetune", "nr")
+    ]
+    assert [row["strategy"] for row in doc["aggregate"]] == ["finetune", "nr"]
+    assert [[row["strategy"] for row in rows] for rows in doc["per_seed"]] == [["finetune", "nr"]]
+    assert (root / "nr_seed1" / "report.json").exists()
+    assert not (root / "finetune_seed0" / "report.json").exists()
+    assert_reaped(forks)
+
+
+@FORK_ONLY
+def test_an_in_process_sweep_run_trains_task0_before_every_row_is_in(tmp_path, capsys,
+                                                                   monkeypatch):
+    """At --jobs 1 on 2 CPUs the first run waits at its barriers as a lone
+    run does: it starts training task 0 while the helper still holds the
+    later tasks' rows. The helper's first later row waits for task 0's
+    training to begin (or 60 s), so a sweep that waited for every row
+    first would see every clip extracted."""
+    monkeypatch.setattr(procs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stream = trainer.stream_for(0, micro_config().stream)
+    later = {ref.uri for task in stream.tasks[1:] for ref in (*task.train, *task.test)}
+    extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
+    training = tmp_path / "training"
+    parent, logging_mfcc, deadline = os.getpid(), trainer.mfcc, time.monotonic() + 60
+
+    def mfcc(clip, *args, **kwargs):
+        while (os.getpid() != parent and clip.source_id in later and not training.exists()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return logging_mfcc(clip, *args, **kwargs)
+
+    real_train_task, seen = trainer._train_task, []
+
+    def train_task(strategy, task):
+        if task.is_pretrain and not training.exists():
+            seen.append({uri for _, uri in extracted()})
+            training.touch()
+        return real_train_task(strategy, task)
+
+    monkeypatch.setattr(trainer, "mfcc", mfcc)
+    monkeypatch.setattr(trainer, "_train_task", train_task)
+    path = write_sweep(tmp_path, ["finetune", "nr"])
+    assert main(["sweep", "--manifest", str(path), "--out", str(tmp_path / "sweeps")]) == 0
+    assert len(seen) == 1 and later and not seen[0] & later
+    assert Counter(uri for _, uri in extracted()) == Counter(
+        ref.uri for task in stream.tasks for ref in (*task.train, *task.test))
 
 
 @pytest.mark.parametrize("fault, error", [("missing", "CorpusError"), ("corrupt", "WavFormatError")])
@@ -868,6 +961,25 @@ def test_report_without_reports(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["report", "--dir", str(tmp_path / "empty")]) == 2
     assert "no report.json" in capsys.readouterr().err
+
+
+def test_report_rejects_two_runs_of_one_strategy_and_seed(tmp_path, capsys, micro_run):
+    """Two sweeps that differ only in `sgd.lr`, under one root, hold two
+    finetune runs of seed 0: a table would show two rows, and ACC+ would be
+    taken against whichever finetune was found first."""
+    root = tmp_path / "runs"
+    for sweep, overrides in (("lr_a", {}), ("lr_b", {"sgd.lr": 0.02})):
+        report, _ = micro_run("finetune", **overrides)
+        path = root / sweep / "finetune_seed0" / "report.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(report.to_dict()))
+    assert main(["report", "--dir", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: ConfigError: comparison: 2 reports of strategy 'finetune' for seed 0; "
+        "a comparison takes each strategy once\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("fault", ["truncated", "missing-field", "unknown-field"])

@@ -207,6 +207,11 @@ def test_build_comparison_rejects_mixed_runs():
         build_comparison([make_report(), make_report("pcl", fingerprint="g" * 16)])
 
 
+def test_build_comparison_rejects_a_repeated_strategy():
+    with pytest.raises(ConfigError, match="2 reports of strategy 'finetune' for seed 0"):
+        build_comparison([make_report("finetune"), make_report("pcl"), make_report("finetune")])
+
+
 def test_aggregate_means_by_strategy():
     seed_a = build_comparison([make_report("finetune", 0, 0.6), make_report("pcl", 0, 0.9)])
     seed_b = build_comparison([make_report("finetune", 1, 0.7), make_report("pcl", 1, 0.8)])

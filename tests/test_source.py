@@ -162,6 +162,68 @@ def test_only_procs_forks_and_nothing_starts_threads(path):
     assert found == []
 
 
+# Each stream builder and the one function that may call it.
+STREAM_BUILDERS = {
+    "stream_for": "FeatureCache.__init__",
+    "synth_stream": "stream_for",
+    "split_corpus_dir": "stream_for",
+}
+
+
+def stream_builds(source: str) -> list[str]:
+    """Calls of a stream builder from anywhere but its one caller: only
+    `FeatureCache.__init__` calls `trainer.stream_for`, and only
+    `stream_for` calls `synth_stream` and `split_corpus_dir`. So each
+    feature cache builds, and for a WAV corpus checks, its stream once,
+    and nothing else in the package builds one."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")[-1]
+            if STREAM_BUILDERS.get(name, scope) != scope:
+                found.append(f"{name} in {scope or 'the module'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_flags_a_second_stream_build():
+    source = (
+        "def stream_for(seed, cfg):\n    return synth_stream(cfg.synth, seed)\n"
+        "class FeatureCache:\n    def __init__(self, seed, cfg):\n"
+        "        self.stream = trainer.stream_for(seed, cfg)\n"
+        "def check(cfg):\n    def build(seed):\n        return stream_for(seed, cfg)\n"
+        "corpus = taskstream.split_corpus_dir(root, 0)\n"
+    )
+    assert stream_builds(source) == [
+        "stream_for in check.build (line 8)", "split_corpus_dir in the module (line 9)",
+    ]
+
+
+def test_checker_flags_a_sweep_check_that_builds_each_stream():
+    """A sweep's stream check that also built each seed's stream, as the
+    cli once did before the seed's cache built it again."""
+    cli = (SRC / "cli.py").read_text(encoding="utf-8") + (
+        "\n\ndef _require_one_stream_per_seed(cfgs):\n"
+        "    stream_of_seed = {cfg.seed: cfg.stream for cfg in cfgs}\n"
+        "    for seed, stream_cfg in stream_of_seed.items():\n"
+        "        stream_for(seed, stream_cfg)\n"
+    )
+    assert [text.split(" (")[0] for text in stream_builds(cli)] == [
+        "stream_for in _require_one_stream_per_seed",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_feature_cache_builds_its_stream_once(path):
+    assert stream_builds(path.read_text(encoding="utf-8")) == []
+
+
 def blas_pin_order_errors(init_source: str, procs_source: str) -> list[str]:
     """Why `procs`'s BLAS pin might not be set before numpy loads: an import
     in `__init__.py` that comes before `from . import procs`, or a module

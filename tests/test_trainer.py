@@ -27,7 +27,13 @@ from kwslab.strategies import FineTune, Si, Strategy, TrainContext
 from kwslab.taskstream import ClipRef, SynthConfig, TaskStream, materialize_synth
 from kwslab.trainer import EVAL_BATCH, FeatureCache, evaluate, stream_fingerprint
 
-from conftest import assert_reaped, log_extractions, micro_config, record_forks
+from conftest import (
+    assert_reaped,
+    forbid_extraction_in_tasks,
+    log_extractions,
+    micro_config,
+    record_forks,
+)
 
 
 def micro_stream(**overrides):
@@ -127,18 +133,33 @@ def test_allocator_policy_is_a_no_op_off_glibc(monkeypatch):
 
 
 def test_feature_cache_sets_the_allocator_policy_before_the_first_clip(monkeypatch):
+    """Building a cache sets no policy, maps no block, loads no clip and
+    forks nothing; its first barrier sets the policy before it maps the
+    block and loads the first clip."""
     events = []
-    real_load_clip = TaskStream.load_clip
+    real_load_clip, real_mmap = TaskStream.load_clip, trainer.mmap.mmap
 
     def load_clip(self, ref):
         events.append("clip")
         return real_load_clip(self, ref)
 
+    def mapping(*args, **kwargs):
+        events.append("map")
+        return real_mmap(*args, **kwargs)
+
     monkeypatch.setattr(trainer, "_set_allocator_policy", lambda: events.append("policy"))
     monkeypatch.setattr(TaskStream, "load_clip", load_clip)
-    micro_cache()
-    assert events[0] == "policy"
-    assert events.count("policy") == 1 and "clip" in events
+    monkeypatch.setattr(trainer.mmap, "mmap", mapping)
+    forks = record_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    cache = micro_cache()
+    assert events == [] and forks == []
+    cache.require(0)
+    assert events[:2] == ["policy", "map"]
+    assert events.count("policy") == events.count("map") == 1 and "clip" in events
+    assert len(forks) == 1
+    cache.close()
+    assert_reaped(forks)
 
 
 # -- fingerprints ----------------------------------------------------------------------
@@ -199,18 +220,7 @@ def test_features_are_extracted_before_the_first_task(monkeypatch, tmp_path):
     epoch_seconds times training only; across the process tree each clip is
     extracted once."""
     extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
-    real_train_task = trainer._train_task
-
-    def extracted_here():
-        return [uri for pid, uri in extracted() if pid == os.getpid()]
-
-    def checked_train_task(*args, **kwargs):
-        before = extracted_here()
-        rows = real_train_task(*args, **kwargs)
-        assert extracted_here() == before
-        return rows
-
-    monkeypatch.setattr(trainer, "_train_task", checked_train_task)
+    forbid_extraction_in_tasks(monkeypatch, extracted)
     cfg = micro_config(strategy="nr")
     trainer.run(cfg)
     stream = trainer.stream_for(cfg.seed, cfg.stream)
@@ -265,6 +275,8 @@ def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, w
     cache = FeatureCache(cfg.seed, cfg.stream)
     stream = cache.stream
     refs = _stream_refs(stream)
+    assert cache._block is None
+    cache.require(0)
     assert cache._block.shape == (len(refs), *FEATURE_SHAPE)
     for ref in refs:
         expected = trainer.mfcc(trainer.pad_or_trim(stream.load_clip(ref))).T
@@ -273,12 +285,15 @@ def test_feature_rows_at_four_cpus_match_one_at_a_time_extraction(monkeypatch, w
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_extraction_helpers_follow_the_cpu_count_and_are_reaped(monkeypatch, tmp_path, cpus):
-    """One helper per further CPU, each extracting some rows, and none at 1
-    CPU; every helper is reaped once the last task is in."""
+    """One helper per further CPU, forked at the first barrier, each
+    extracting some rows, and none at 1 CPU; every helper is reaped once
+    the last task is in."""
     extracted = log_extractions(monkeypatch, tmp_path / "extracted.log")
     forks = record_forks(monkeypatch)
     _set_cpus(monkeypatch, cpus)
     cache = micro_cache()
+    assert forks == [] and extracted() == []
+    cache.require(0)
     assert len(forks) == cpus - 1
     cache.require(len(cache.stream.tasks) - 1)
     assert_reaped(forks)
@@ -329,9 +344,12 @@ def test_a_closed_cache_extracts_what_is_missing_itself(monkeypatch, tmp_path):
     forks = record_forks(monkeypatch)
     _set_cpus(monkeypatch, 2)
     cache = micro_cache()
+    cache.require(0)
+    assert len(forks) == 1
     cache.close()
     assert_reaped(forks)
     cache.require(len(cache.stream.tasks) - 1)
+    assert len(forks) == 1
     assert set(Counter(uri for _, uri in extracted())) == set(_clip_uris(cache.stream))
 
 
